@@ -168,6 +168,11 @@ main(int argc, char **argv)
             std::chrono::seconds(o.checkpointIntervalS);
     }
 
+    // Before recovery and listen: an early SIGTERM still drains and
+    // writes the shutdown checkpoint instead of killing the process.
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
+
     // Recovery happens inside the BatchServer constructor; a typed
     // refusal (corrupt log, fingerprint divergence, lost acked state)
     // must exit nonzero, never serve.
@@ -198,8 +203,6 @@ main(int argc, char **argv)
         std::cerr << "error: " << s.toString() << "\n";
         return 1;
     }
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
     std::cout << "cobra_server listening on " << o.socket << " ("
               << pool.numThreads() << " pool threads, "
               << o.dispatchers << " dispatchers)\n";

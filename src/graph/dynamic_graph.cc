@@ -125,12 +125,35 @@ DynamicGraph::applyOp(NodeId src, NodeId dst, bool remove)
 }
 
 void
-DynamicGraph::recountDelta()
+DynamicGraph::saveUndo(const MutationBatch &batch)
 {
-    uint64_t n = 0;
-    for (const auto &d : delta_)
-        n += d.size();
-    deltaEntries_ = n;
+    undo_ = Undo{};
+    for (const MutationBatch::Op &op : batch.ops)
+        undo_.srcs.push_back(op.src);
+    std::sort(undo_.srcs.begin(), undo_.srcs.end());
+    undo_.srcs.erase(std::unique(undo_.srcs.begin(), undo_.srcs.end()),
+                     undo_.srcs.end());
+    for (NodeId s : undo_.srcs) {
+        undo_.rows.push_back(delta_[s]);
+        undo_.degrees.push_back(degree_[s]);
+    }
+    undo_.liveEdges = liveEdges_;
+    undo_.deltaEntries = deltaEntries_;
+    undo_.armed = true;
+}
+
+void
+DynamicGraph::rollbackLastBatch()
+{
+    COBRA_THROW_IF(!undo_.armed, ErrorCode::kFailedPrecondition,
+                   "no mutation batch to roll back");
+    for (size_t i = 0; i < undo_.srcs.size(); ++i) {
+        delta_[undo_.srcs[i]] = std::move(undo_.rows[i]);
+        degree_[undo_.srcs[i]] = undo_.degrees[i];
+    }
+    liveEdges_ = undo_.liveEdges;
+    deltaEntries_ = undo_.deltaEntries;
+    undo_ = Undo{};
 }
 
 BatchResult
@@ -161,9 +184,9 @@ DynamicGraph::reduceOutcomes(const MutationBatch &batch,
     r.affectedDsts = std::move(dsts);
     r.degreeChangedSrcs = std::move(srcs);
 
-    liveEdges_ += r.inserted;
-    liveEdges_ -= r.removed;
-    recountDelta();
+    liveEdges_ = undo_.liveEdges + r.inserted - r.removed;
+    for (size_t i = 0; i < undo_.srcs.size(); ++i) // only rows it touched
+        deltaEntries_ += delta_[undo_.srcs[i]].size() - undo_.rows[i].size();
 
     if (lost != 0 && health_.ok()) {
         std::ostringstream oss;
@@ -178,6 +201,7 @@ BatchResult
 DynamicGraph::applyBatch(const MutationBatch &batch)
 {
     health_ = Status::Ok();
+    saveUndo(batch);
     std::vector<uint8_t> outcomes(batch.ops.size(), kOutcomeLost);
     for (size_t i = 0; i < batch.ops.size(); ++i) {
         const MutationBatch::Op &op = batch.ops[i];
@@ -194,6 +218,7 @@ DynamicGraph::applyBatchParallel(ThreadPool &pool, PhaseRecorder &rec,
                                  const PbEngineConfig &engine)
 {
     health_ = Status::Ok();
+    saveUndo(batch);
     if (batch.ops.empty())
         return BatchResult{};
 
@@ -218,7 +243,12 @@ DynamicGraph::applyBatchParallel(ThreadPool &pool, PhaseRecorder &rec,
                 static_cast<uint8_t>(applyOp(op.src, op.dst, op.remove));
         });
     health_ = runner.conservation();
-    return reduceOutcomes(batch, outcomes);
+    BatchResult r = reduceOutcomes(batch, outcomes);
+    // Each op lands on its own source row, so the undo image covers
+    // whatever a dropped, duplicated, or skewed drain did.
+    if (!health_.ok())
+        rollbackLastBatch();
+    return r;
 }
 
 uint64_t
@@ -395,6 +425,7 @@ DynamicGraph::compact(ThreadPool &pool, PhaseRecorder &rec,
         d.shrink_to_fit();
     }
     deltaEntries_ = 0;
+    undo_ = Undo{}; // the base moved: the pre-batch rows no longer apply
     ++compactions_;
     health_ = Status::Ok();
     return health_;

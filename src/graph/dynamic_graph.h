@@ -110,7 +110,7 @@ struct BatchResult
 };
 
 /** Base CSR + per-vertex tombstoned delta segments. Copyable (the
- * server's trial-commit mutation path relies on it). */
+ * server's checkpoint captures a copy under the tenant lock). */
 class DynamicGraph
 {
   public:
@@ -155,15 +155,22 @@ class DynamicGraph
      * global stream order, so the result is identical to applyBatch()
      * at every thread count. Sets health() to the runner's
      * conservation verdict (kDataLoss on any dropped/duplicated op —
-     * e.g. under an injected kPbDropDrain); on a health failure the
-     * delta state is unspecified, so callers that must not lose the
-     * graph apply to a copy and commit only on success (the server's
-     * trial-commit path).
+     * e.g. under an injected kPbDropDrain). All-or-nothing, like
+     * compact(): on a health failure the batch is rolled back before
+     * returning; a healthy apply stays undoable.
      */
     BatchResult applyBatchParallel(ThreadPool &pool, PhaseRecorder &rec,
                                    const MutationBatch &batch,
                                    uint32_t max_bins,
                                    const PbEngineConfig &engine = {});
+
+    /**
+     * Undo the last applyBatch()/applyBatchParallel(): restore each
+     * source row it touched (delta segment, cached degree) and the
+     * edge totals, in O(touched rows). Valid until the next apply or
+     * committed compaction; otherwise throws kFailedPrecondition.
+     */
+    void rollbackLastBatch();
 
     /**
      * Full merged snapshot: offsets + sorted unique neighbor lists.
@@ -230,6 +237,18 @@ class DynamicGraph
         kOutcomeRejected,
     };
 
+    /** Pre-batch image of the rows one batch can touch. */
+    struct Undo
+    {
+        std::vector<NodeId> srcs; ///< sorted, unique batch sources
+        std::vector<std::vector<DeltaEntry>> rows; ///< delta_[srcs[i]]
+        std::vector<EdgeOffset> degrees;           ///< degree_[srcs[i]]
+        uint64_t liveEdges = 0, deltaEntries = 0;
+        bool armed = false;
+    };
+
+    void saveUndo(const MutationBatch &batch);
+
     bool baseHasEdge(NodeId src, NodeId dst) const;
     OpOutcome applyOp(NodeId src, NodeId dst, bool remove);
 
@@ -249,8 +268,6 @@ class DynamicGraph
      */
     uint64_t mergeLiveEdges(EdgeList &out) const;
 
-    void recountDelta();
-
     NodeId nodes_ = 0;
     CsrGraph base_; ///< sorted + deduplicated
     std::vector<std::vector<DeltaEntry>> delta_;
@@ -260,6 +277,7 @@ class DynamicGraph
     uint64_t compactions_ = 0;
     double compactRatio_ = 0.25;
     Status health_;
+    Undo undo_;
 };
 
 } // namespace cobra

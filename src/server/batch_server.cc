@@ -247,16 +247,72 @@ ResponseFrame
 BatchServer::executeMutate(Job &job)
 {
     const RequestFrame &req = job.req;
-    ResponseFrame resp;
-    resp.queueMicros = microsSince(job.admittedAt);
-    resp.attempts = 1;
-    resp.finalEngine = req.engine;
-    resp.finalBins = req.bins;
+    const uint64_t queueMicros = microsSince(job.admittedAt);
 
     TraceSpan sp("server.mutate", "server");
     sp.arg("tenant", req.tenantId);
     sp.arg("request", req.requestId);
     sp.arg("ops", req.numUpdates());
+
+    // Durability point: the batch is acknowledgeable only once its WAL
+    // record (the wire frame plus the post-state stamp) is appended
+    // and fsynced per policy; a refusal rolls it back. walMu_ makes
+    // lsn assignment and append one step: on-disk order is lsn order.
+    DurableStep walAppend;
+    if (wal_)
+        walAppend = [this, &req](uint64_t fp, uint64_t edges,
+                                 uint64_t *lsn) -> Status {
+            WalRecord wrec;
+            wrec.postFingerprint = fp;
+            wrec.postLiveEdges = edges;
+            try {
+                wrec.payload = encodeRequest(req);
+            } catch (const Error &e) {
+                return Status(e.code(),
+                              std::string("durability encode failed; "
+                                          "batch not committed: ") +
+                                  e.what());
+            }
+            std::lock_guard<std::mutex> wl(walMu_);
+            wrec.lsn = nextLsn_.load(std::memory_order_relaxed) + 1;
+            if (Status ws = wal_->append(wrec); !ws.ok())
+                return Status(ws.code(),
+                              "durability append failed; batch not "
+                              "committed: " +
+                                  ws.message());
+            nextLsn_.store(wrec.lsn, std::memory_order_relaxed);
+            *lsn = wrec.lsn;
+            return Status::Ok();
+        };
+
+    Timer t;
+    MutationCommit c = commitMutation(req, job.deadline, walAppend);
+    ResponseFrame resp = std::move(c.resp);
+    resp.queueMicros = queueMicros;
+    resp.attempts = 1;
+    resp.finalEngine = req.engine;
+    resp.finalBins = req.bins;
+    resp.serverMicros = static_cast<uint64_t>(t.seconds() * 1e6);
+
+    mutateBatches_.fetch_add(1, std::memory_order_relaxed);
+    mutateOps_.fetch_add(req.numUpdates(), std::memory_order_relaxed);
+    mutateApplied_.fetch_add(c.result.applied(), std::memory_order_relaxed);
+    mutateDeduped_.fetch_add(c.result.deduped, std::memory_order_relaxed);
+    mutateRejected_.fetch_add(c.result.rejected,
+                              std::memory_order_relaxed);
+    if (c.committed && resp.degradations == 0)
+        recertifications_.fetch_add(1, std::memory_order_relaxed);
+    if (c.compacted)
+        compactions_.fetch_add(1, std::memory_order_relaxed);
+    return resp;
+}
+
+BatchServer::MutationCommit
+BatchServer::commitMutation(const RequestFrame &req,
+                            const Deadline &deadline,
+                            const DurableStep &durable)
+{
+    MutationCommit c;
 
     // Decode the batch: bit 31 of the src word marks a delete.
     MutationBatch batch;
@@ -267,18 +323,13 @@ BatchServer::executeMutate(Job &job)
             sw & ~kMutateDeleteBit, req.payload[i + 1],
             (sw & kMutateDeleteBit) != 0});
     }
-
-    mutateBatches_.fetch_add(1, std::memory_order_relaxed);
-    mutateOps_.fetch_add(batch.size(), std::memory_order_relaxed);
-    // Every early exit below bounced the whole batch before commit:
-    // the ops are booked rejected so the op-level conservation
-    // identity still closes.
-    auto bounce = [&](ErrorCode code, std::string msg) {
-        mutateRejected_.fetch_add(batch.size(),
-                                  std::memory_order_relaxed);
-        resp.code = code;
-        resp.message = std::move(msg);
-        return resp;
+    // A batch bounced before commit books all its ops rejected, so the
+    // op-level conservation identity still closes.
+    auto bounce = [&c, &batch](const Status &st) {
+        c.resp.code = st.code();
+        c.resp.message = st.message();
+        c.result.rejected = batch.size();
+        return c;
     };
 
     std::shared_ptr<TenantGraph> state =
@@ -288,176 +339,127 @@ BatchServer::executeMutate(Job &job)
         state->numIndices = req.numIndices;
         state->graph = std::make_unique<DynamicGraph>(
             static_cast<NodeId>(req.numIndices));
-        state->degrees =
-            std::make_unique<IncrementalDegreeCount>(*state->graph);
-        state->pagerank =
-            std::make_unique<DeltaPagerank>(*state->graph);
     } else if (state->numIndices != req.numIndices) {
-        return bounce(ErrorCode::kFailedPrecondition,
-                      "tenant graph has " +
-                          std::to_string(state->numIndices) +
-                          " vertices; request says " +
-                          std::to_string(req.numIndices));
+        return bounce(Status(ErrorCode::kFailedPrecondition,
+                             "tenant graph has " +
+                                 std::to_string(state->numIndices) +
+                                 " vertices; request says " +
+                                 std::to_string(req.numIndices)));
     }
+    DynamicGraph &g = *state->graph;
 
-    // The request's slice of the shared pool + its scoped chaos plan,
-    // mirroring the stateless execute() path.
-    ThreadPool::Group group(pool_);
-    ThreadPool::Group::Scope group_scope(group);
-    std::optional<FaultInjector> injector;
-    std::optional<FaultInjector::Scope> injector_scope;
-    if (req.injectSite != 0) {
-        injector.emplace(static_cast<FaultSite>(req.injectSite),
-                         req.injectFireAt == 0 ? 1 : req.injectFireAt,
-                         req.injectSeed);
-        injector_scope.emplace(*injector);
-    }
+    // Only the batch's kernel's maintainer follows the graph; built
+    // from the pre-batch graph, it survives a rollback.
+    const bool degreeKernel = req.kernel == ServerKernel::kDegreeCount;
+    if (degreeKernel && !state->degrees)
+        state->degrees = std::make_unique<IncrementalDegreeCount>(g);
+    if (!degreeKernel && !state->pagerank)
+        state->pagerank = std::make_unique<DeltaPagerank>(g);
 
     PbEngineConfig ecfg;
     ecfg.kind = req.engine;
     ecfg.wcLines = req.wcLines;
     ecfg.skewAdaptive = req.skewAdaptive;
-
     PhaseRecorder rec;
-    Timer t;
 
-    // Trial-commit: the batch runs against a copy, so a conservation
-    // failure (injected or real) can never corrupt the served graph.
-    DynamicGraph trial(*state->graph);
+    // In place: a conservation failure (injected or real) comes back
+    // already rolled back; a later refusal rolls back explicitly.
     BatchResult r =
-        trial.applyBatchParallel(pool_, rec, batch, req.bins, ecfg);
-    if (!trial.health().ok())
-        return bounce(trial.health().code(), trial.health().message());
+        g.applyBatchParallel(pool_, rec, batch, req.bins, ecfg);
+    if (!g.health().ok())
+        return bounce(g.health());
+    auto refuse = [&](const Status &st) {
+        g.rollbackLastBatch();
+        return bounce(st);
+    };
     if (!r.conserved(batch.size()))
-        return bounce(ErrorCode::kDataLoss,
-                      "batch accounting does not close: " +
-                          std::to_string(batch.size()) +
-                          " submitted != " + std::to_string(r.applied()) +
-                          " applied + " + std::to_string(r.deduped) +
-                          " deduped + " + std::to_string(r.rejected) +
-                          " rejected");
-    if (job.deadline.armed() && job.deadline.expired())
-        return bounce(ErrorCode::kDeadlineExceeded,
-                      "deadline expired while applying the batch; "
-                      "batch not committed");
-
-    // Durability point: the batch becomes acknowledgeable only once
-    // its WAL record — the original wire frame stamped with the
-    // post-commit fingerprint — is appended (and fsynced per policy).
-    // Any failure here bounces the whole batch typed and UNcommitted:
-    // the served graph, the incremental results, and the client all
-    // agree the batch never happened. walMu_ makes lsn assignment and
-    // the append one atomic step, so on-disk order is lsn order.
-    uint64_t walLsn = 0;
-    if (wal_) {
-        WalRecord wrec;
-        wrec.postFingerprint = trial.snapshotFingerprint();
-        wrec.postLiveEdges = trial.numEdges();
-        try {
-            wrec.payload = encodeRequest(req);
-        } catch (const Error &e) {
-            return bounce(e.code(),
-                          std::string("durability encode failed; batch "
-                                      "not committed: ") +
-                              e.what());
-        }
-        std::lock_guard<std::mutex> wl(walMu_);
-        wrec.lsn = nextLsn_.load(std::memory_order_relaxed) + 1;
-        if (Status ws = wal_->append(wrec); !ws.ok())
-            return bounce(ws.code(),
-                          "durability append failed; batch not "
-                          "committed: " +
-                              ws.message());
-        nextLsn_.store(wrec.lsn, std::memory_order_relaxed);
-        walLsn = wrec.lsn;
+        return refuse(Status(
+            ErrorCode::kDataLoss,
+            "batch accounting does not close: " +
+                std::to_string(batch.size()) + " submitted != " +
+                std::to_string(r.applied()) + " applied + " +
+                std::to_string(r.deduped) + " deduped + " +
+                std::to_string(r.rejected) + " rejected"));
+    if (deadline.armed() && deadline.expired())
+        return refuse(Status(ErrorCode::kDeadlineExceeded,
+                             "deadline expired while applying the "
+                             "batch; batch not committed"));
+    if (durable) {
+        uint64_t lsn = 0;
+        if (Status st = durable(g.snapshotFingerprint(), g.numEdges(),
+                                &lsn);
+            !st.ok())
+            return refuse(st);
+        state->lastLsn = lsn;
     }
+    c.committed = true;
 
-    // Commit, then fold the batch into the incremental results and
-    // certify each against a full recompute of the new graph.
-    *state->graph = std::move(trial);
-    if (walLsn != 0)
-        state->lastLsn = walLsn;
-    mutateApplied_.fetch_add(r.applied(), std::memory_order_relaxed);
-    mutateDeduped_.fetch_add(r.deduped, std::memory_order_relaxed);
-    mutateRejected_.fetch_add(r.rejected, std::memory_order_relaxed);
-
+    // Fold the committed batch into the kernel's maintainer and
+    // certify it against a full recompute of the new graph. The other
+    // maintainer missed this batch, so it is dropped.
     uint64_t dirty = 0;
-    if (req.kernel == ServerKernel::kDegreeCount) {
-        state->degrees->update(r, *state->graph);
+    std::optional<std::string> diverged;
+    std::vector<uint32_t> w;
+    if (degreeKernel) {
+        state->pagerank.reset();
+        state->degrees->update(r, g);
         dirty = state->degrees->lastDirty();
-        const std::vector<EdgeOffset> full =
-            IncrementalDegreeCount::fullRecompute(*state->graph);
         if (auto d = DifferentialOracle::firstDivergence(
-                state->degrees->degrees(), full, "incremental degrees")) {
-            // Certification failed: degrade to the trusted full result
-            // (rebuilding the incremental state from the graph) and
-            // say so — never serve an uncertified answer silently.
-            ++resp.degradations;
-            resp.message = "incremental recompute diverged (" +
-                           d->detail + "); served full recompute";
-            state->degrees = std::make_unique<IncrementalDegreeCount>(
-                *state->graph);
-        } else {
-            recertifications_.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::vector<uint32_t> w(state->degrees->degrees().size());
-        for (size_t i = 0; i < w.size(); ++i)
-            w[i] =
-                static_cast<uint32_t>(state->degrees->degrees()[i]);
-        resp.resultChecksum = fnv1a(w.data(), w.size());
+                state->degrees->degrees(),
+                IncrementalDegreeCount::fullRecompute(g),
+                "incremental degrees"))
+            diverged = d->detail;
+        // A failed certification degrades to the trusted full result,
+        // said so in the answer, never an uncertified one served.
+        if (diverged)
+            state->degrees = std::make_unique<IncrementalDegreeCount>(g);
+        for (EdgeOffset d : state->degrees->degrees())
+            w.push_back(static_cast<uint32_t>(d));
     } else {
-        Status st = state->pagerank->apply(batch, r, *state->graph);
+        state->degrees.reset();
+        if (Status st = state->pagerank->apply(batch, r, g); !st.ok())
+            diverged = st.message();
+        else if (auto d = DifferentialOracle::firstDivergence(
+                     state->pagerank->scores(),
+                     DeltaPagerank::fullRecompute(g),
+                     "incremental pagerank"))
+            diverged = d->detail;
         dirty = state->pagerank->lastDirty();
-        std::optional<Divergence> d;
-        if (st.ok())
-            d = DifferentialOracle::firstDivergence(
-                state->pagerank->scores(),
-                DeltaPagerank::fullRecompute(*state->graph),
-                "incremental pagerank");
-        if (!st.ok() || d) {
-            ++resp.degradations;
-            resp.message = "incremental recompute diverged (" +
-                           (st.ok() ? d->detail : st.message()) +
-                           "); served full recompute";
-            state->pagerank =
-                std::make_unique<DeltaPagerank>(*state->graph);
-        } else {
-            recertifications_.fetch_add(1, std::memory_order_relaxed);
-        }
+        if (diverged)
+            state->pagerank = std::make_unique<DeltaPagerank>(g);
         const auto &s = state->pagerank->scores();
-        std::vector<uint32_t> w(s.size());
+        w.resize(s.size());
         std::memcpy(w.data(), s.data(), s.size() * sizeof(float));
-        resp.resultChecksum = fnv1a(w.data(), w.size());
+    }
+    c.resp.resultChecksum = fnv1a(w.data(), w.size());
+    if (diverged) {
+        ++c.resp.degradations;
+        c.resp.message = "incremental recompute diverged (" + *diverged +
+                       "); served full recompute";
     }
 
-    // Threshold compaction rides the request that crossed the line.
-    // compact() is all-or-nothing: on a (possibly injected) failure
-    // the committed batch stands, the delta segments stay, and the
-    // failure is answered typed.
-    if (state->graph->needsCompaction()) {
-        Status cs = state->graph->compact(pool_, rec, req.bins, ecfg);
-        if (!cs.ok()) {
-            resp.code = cs.code();
-            resp.message = "compaction failed (batch remains "
-                           "committed): " +
-                           cs.message();
-            resp.serverMicros =
-                static_cast<uint64_t>(t.seconds() * 1e6);
-            return resp;
+    // Threshold compaction rides the batch that crossed the line; it
+    // is all-or-nothing, so on failure the committed batch stands.
+    c.result = std::move(r);
+    if (g.needsCompaction()) {
+        if (Status cs = g.compact(pool_, rec, req.bins, ecfg); !cs.ok()) {
+            c.resp.code = cs.code();
+            c.resp.message =
+                "compaction failed (batch remains committed): " +
+                cs.message();
+            return c;
         }
-        compactions_.fetch_add(1, std::memory_order_relaxed);
+        c.compacted = true;
     }
 
-    resp.serverMicros = static_cast<uint64_t>(t.seconds() * 1e6);
-    resp.code = ErrorCode::kOk;
-    if (resp.message.empty())
-        resp.message = "applied=" + std::to_string(r.applied()) +
-                       " deduped=" + std::to_string(r.deduped) +
-                       " rejected=" + std::to_string(r.rejected) +
+    c.resp.code = ErrorCode::kOk;
+    if (c.resp.message.empty())
+        c.resp.message = "applied=" + std::to_string(c.result.applied()) +
+                       " deduped=" + std::to_string(c.result.deduped) +
+                       " rejected=" + std::to_string(c.result.rejected) +
                        " dirty=" + std::to_string(dirty) +
-                       " edges=" +
-                       std::to_string(state->graph->numEdges());
-    return resp;
+                       " edges=" + std::to_string(g.numEdges());
+    return c;
 }
 
 ResponseFrame
@@ -492,17 +494,10 @@ BatchServer::executeSnapshot(Job &job)
     }
 
     Timer t;
-    // Fingerprint the full merged structure: the degree sequence
-    // followed by every neighbor id, in snapshot order. Two replicas
-    // that applied the same batches agree on this bit-for-bit.
-    const CsrGraph snap = state->graph->snapshotCsr();
-    std::vector<uint32_t> w;
-    w.reserve(snap.numNodes() + snap.numEdges());
-    for (NodeId v = 0; v < snap.numNodes(); ++v)
-        w.push_back(static_cast<uint32_t>(snap.degree(v)));
-    for (NodeId n : snap.neighborsArray())
-        w.push_back(n);
-    resp.resultChecksum = fnv1a(w.data(), w.size());
+    // The degree sequence followed by every neighbor id, in snapshot
+    // order: two replicas that applied the same batches agree on this
+    // bit-for-bit (and it is the stamp every WAL record carries).
+    resp.resultChecksum = state->graph->snapshotFingerprint();
     resp.serverMicros = static_cast<uint64_t>(t.seconds() * 1e6);
     resp.code = ErrorCode::kOk;
     resp.message = "edges=" + std::to_string(state->graph->numEdges()) +
@@ -516,12 +511,30 @@ BatchServer::executeSnapshot(Job &job)
 ResponseFrame
 BatchServer::execute(Job &job)
 {
-    if (job.req.op == RequestOp::kMutate)
+    const RequestFrame &req = job.req;
+
+    // The request's own slice of the shared pool: shards, failures,
+    // and cancellation all scoped to this group, so concurrent
+    // requests interleave on the workers without sharing a barrier.
+    ThreadPool::Group group(pool_);
+    ThreadPool::Group::Scope group_scope(group);
+
+    // Request-carried chaos plan, scoped to this dispatcher thread and
+    // inherited only by this request's tasks.
+    std::optional<FaultInjector> injector;
+    std::optional<FaultInjector::Scope> injector_scope;
+    if (req.injectSite != 0) {
+        injector.emplace(static_cast<FaultSite>(req.injectSite),
+                         req.injectFireAt == 0 ? 1 : req.injectFireAt,
+                         req.injectSeed);
+        injector_scope.emplace(*injector);
+    }
+
+    if (req.op == RequestOp::kMutate)
         return executeMutate(job);
-    if (job.req.op == RequestOp::kSnapshot)
+    if (req.op == RequestOp::kSnapshot)
         return executeSnapshot(job);
 
-    const RequestFrame &req = job.req;
     ResponseFrame resp;
     resp.queueMicros = microsSince(job.admittedAt);
 
@@ -601,23 +614,6 @@ BatchServer::execute(Job &job)
     ecfg.kind = req.engine;
     ecfg.wcLines = req.wcLines;
     ecfg.skewAdaptive = req.skewAdaptive;
-
-    // The request's own slice of the shared pool: shards, failures,
-    // and cancellation all scoped to this group, so concurrent
-    // requests interleave on the workers without sharing a barrier.
-    ThreadPool::Group group(pool_);
-    ThreadPool::Group::Scope group_scope(group);
-
-    // Request-carried chaos plan, scoped to this dispatcher thread and
-    // inherited only by this request's tasks.
-    std::optional<FaultInjector> injector;
-    std::optional<FaultInjector::Scope> injector_scope;
-    if (req.injectSite != 0) {
-        injector.emplace(static_cast<FaultSite>(req.injectSite),
-                         req.injectFireAt == 0 ? 1 : req.injectFireAt,
-                         req.injectSeed);
-        injector_scope.emplace(*injector);
-    }
 
     PhaseRecorder rec;
     RunSupervisor sup(sc);
@@ -712,9 +708,8 @@ BatchServer::recover()
     // refusal, not a silent cold start.
     Checkpoint ck;
     bool haveCkpt = false;
-    std::string ckptPath;
-    if (Status st = loadNewestValidCheckpoint(
-            dc.walDir, &ck, &haveCkpt, dc.recoveryBudgetBytes, &ckptPath);
+    if (Status st = loadNewestValidCheckpoint(dc.walDir, &ck, &haveCkpt,
+                                              dc.recoveryBudgetBytes);
         !st.ok())
         throw Error(st.code(), "recovery refused: " + st.message());
 
@@ -782,22 +777,13 @@ BatchServer::recover()
     nextLsn_.store(std::max(
         maxCover, rr.records.empty() ? 0 : rr.records.back().lsn));
 
-    // 4. Replay the uncovered suffix through the normal PB-binned
-    // mutation path, certifying every record against its logged
-    // post-state stamps. A shadow incremental-degree state per tenant
-    // is updated on every record and certified once at the end against
-    // a trusted full recompute (DifferentialOracle) — the same
-    // incremental-vs-full discipline the live mutate path applies.
-    std::map<uint64_t, std::unique_ptr<IncrementalDegreeCount>> shadow;
-    {
-        std::lock_guard<std::mutex> lk(tenantsMu_);
-        for (auto &[tenant, state] : tenants_)
-            if (state->graph)
-                shadow[tenant] = std::make_unique<IncrementalDegreeCount>(
-                    *state->graph);
-    }
-    PhaseRecorder rec;
-    for (WalRecord &wrec : rr.records) {
+    // 4. Replay the uncovered suffix through the live commit path.
+    // The durable step is the record's own certification: the
+    // replayed graph must reproduce exactly the state the original
+    // server stamped before acknowledging the batch. Any refusal — or
+    // an incremental result that diverges from its full recompute —
+    // refuses startup.
+    for (const WalRecord &wrec : rr.records) {
         if (dl.armed() && dl.expired())
             throw Error(ErrorCode::kDeadlineExceeded,
                         "recovery refused: replay deadline expired at "
@@ -819,99 +805,32 @@ BatchServer::recover()
                         "recovery refused: WAL record at lsn " +
                             std::to_string(wrec.lsn) +
                             " is not a kMutate frame");
-
-        auto state = tenantGraph(rreq.tenantId, /*create=*/true);
-        if (state->graph == nullptr) {
-            state->numIndices = rreq.numIndices;
-            state->graph = std::make_unique<DynamicGraph>(
-                static_cast<NodeId>(rreq.numIndices));
-            shadow[rreq.tenantId] =
-                std::make_unique<IncrementalDegreeCount>(*state->graph);
-        } else if (state->numIndices != rreq.numIndices) {
-            throw Error(ErrorCode::kDataLoss,
-                        "recovery refused: WAL record at lsn " +
-                            std::to_string(wrec.lsn) + " addresses " +
-                            std::to_string(rreq.numIndices) +
-                            " indices but tenant " +
-                            std::to_string(rreq.tenantId) + " has " +
-                            std::to_string(state->numIndices));
-        }
-        if (wrec.lsn <= state->lastLsn) {
+        if (auto state = tenantGraph(rreq.tenantId, /*create=*/false);
+            state != nullptr && wrec.lsn <= state->lastLsn) {
             // Already folded into the checkpoint.
             ++recovery_.skippedRecords;
             continue;
         }
 
-        MutationBatch batch;
-        batch.ops.reserve(rreq.numUpdates());
-        for (size_t i = 0; i + 1 < rreq.payload.size(); i += 2) {
-            const uint32_t sw = rreq.payload[i];
-            batch.ops.push_back(MutationBatch::Op{
-                sw & ~kMutateDeleteBit, rreq.payload[i + 1],
-                (sw & kMutateDeleteBit) != 0});
-        }
-
-        PbEngineConfig ecfg;
-        ecfg.kind = rreq.engine;
-        ecfg.wcLines = rreq.wcLines;
-        ecfg.skewAdaptive = rreq.skewAdaptive;
-        BatchResult r = state->graph->applyBatchParallel(
-            pool_, rec, batch, rreq.bins, ecfg);
-        if (!state->graph->health().ok())
+        const MutationCommit c = commitMutation(
+            rreq, Deadline{},
+            [&wrec](uint64_t fp, uint64_t edges, uint64_t *lsn) {
+                if (edges != wrec.postLiveEdges ||
+                    fp != wrec.postFingerprint)
+                    return Status(ErrorCode::kDataLoss,
+                                  "replayed state diverges from the "
+                                  "acknowledged state — refusing to "
+                                  "serve it");
+                *lsn = wrec.lsn;
+                return Status::Ok();
+            });
+        if (c.resp.code != ErrorCode::kOk || c.resp.degradations != 0)
             throw Error(ErrorCode::kDataLoss,
                         "recovery refused: replay of lsn " +
-                            std::to_string(wrec.lsn) +
-                            " failed conservation: " +
-                            state->graph->health().message());
-        if (!r.conserved(batch.size()))
-            throw Error(ErrorCode::kDataLoss,
-                        "recovery refused: replay of lsn " +
-                            std::to_string(wrec.lsn) +
-                            " does not close its op accounting");
-
-        // The record's own certification: the replayed graph must
-        // reproduce exactly the state the original server fingerprinted
-        // before acknowledging this batch.
-        if (state->graph->numEdges() != wrec.postLiveEdges ||
-            state->graph->snapshotFingerprint() != wrec.postFingerprint)
-            throw Error(ErrorCode::kDataLoss,
-                        "recovery refused: replayed state diverges from "
-                        "the acknowledged state at lsn " +
-                            std::to_string(wrec.lsn) +
-                            " — refusing to serve it");
-
-        if (auto it = shadow.find(rreq.tenantId); it != shadow.end())
-            it->second->update(r, *state->graph);
-        state->lastLsn = wrec.lsn;
+                            std::to_string(wrec.lsn) + " failed: " +
+                            c.resp.message);
         ++recovery_.replayedBatches;
-        recovery_.replayedOps += batch.size();
-    }
-
-    // 5. End-to-end differential certification of the replay path
-    // itself, then fresh serving-side incremental state.
-    {
-        std::lock_guard<std::mutex> lk(tenantsMu_);
-        for (auto &[tenant, state] : tenants_) {
-            if (!state->graph)
-                continue;
-            if (auto it = shadow.find(tenant); it != shadow.end()) {
-                if (auto d = DifferentialOracle::firstDivergence(
-                        it->second->degrees(),
-                        IncrementalDegreeCount::fullRecompute(
-                            *state->graph),
-                        "recovery shadow degrees"))
-                    throw Error(ErrorCode::kDataLoss,
-                                "recovery refused: incremental replay "
-                                "diverged from full recompute for "
-                                "tenant " +
-                                    std::to_string(tenant) + ": " +
-                                    d->detail);
-            }
-            state->degrees = std::make_unique<IncrementalDegreeCount>(
-                *state->graph);
-            state->pagerank =
-                std::make_unique<DeltaPagerank>(*state->graph);
-        }
+        recovery_.replayedOps += rreq.numUpdates();
     }
 
     {
@@ -950,9 +869,10 @@ BatchServer::checkpointNow()
             snap.emplace_back(kv.first, kv.second);
     }
     for (auto &[tenant, state] : snap) {
-        // Copy under the tenant lock (mutations hold it across WAL
-        // append + commit, so graph and lastLsn are consistent); the
-        // expensive snapshot/fingerprint run on the copy, unlocked.
+        // Copy under the tenant lock (a commit holds it from apply
+        // through WAL append, so the copy never holds a batch that may
+        // still roll back, and graph and lastLsn agree); the expensive
+        // snapshot/fingerprint run on the copy, unlocked.
         std::unique_ptr<DynamicGraph> copy;
         uint64_t covered = 0, indices = 0;
         {

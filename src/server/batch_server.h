@@ -38,13 +38,14 @@
  * output so clients can cross-check replicas.
  *
  * Mutable graphs: a kMutate request addresses a per-tenant
- * DynamicGraph instead of a one-shot kernel. Batches are applied
- * trial-commit (the batch runs against a copy; a conservation failure
- * leaves the served graph untouched and answers typed), the
- * incrementally maintained degree/Pagerank result is re-certified
- * against a full recompute after every batch
- * (DifferentialOracle::firstDivergence), and the op-level books close
- * under their own conservation identity (ServerStats::conserved).
+ * DynamicGraph instead of a one-shot kernel. Live batches and WAL
+ * replay share one commit path: apply in place, stamp the post-state,
+ * run the durable step (live: WAL append; replay: match the logged
+ * stamp), then re-certify the incremental degree/Pagerank result
+ * against a full recompute (DifferentialOracle::firstDivergence). A
+ * batch refused before its durable step is rolled back from the
+ * graph's undo record, and the op-level books close under their own
+ * conservation identity (ServerStats::conserved).
  */
 
 #ifndef COBRA_SERVER_BATCH_SERVER_H
@@ -54,6 +55,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -225,16 +227,17 @@ class BatchServer
 
     /**
      * Per-tenant mutable state for the kMutate/kSnapshot ops: the
-     * graph plus the incrementally maintained kernel results. mu
-     * serializes batches for one tenant (the trial-commit and the
-     * incremental state must see batches in order); different tenants
-     * mutate concurrently on the shared pool.
+     * graph plus the incrementally maintained kernel results. mu is
+     * held across a whole commit, so no reader sees a batch that may
+     * still roll back; different tenants mutate concurrently.
      */
     struct TenantGraph
     {
         std::mutex mu;
         uint64_t numIndices = 0;
         std::unique_ptr<DynamicGraph> graph;
+        /** Built on first need; a batch for the other kernel drops
+         * it (it missed that batch). */
         std::unique_ptr<IncrementalDegreeCount> degrees;
         std::unique_ptr<DeltaPagerank> pagerank;
 
@@ -251,9 +254,31 @@ class BatchServer
     /** Run the supervised kernel for @p job (the "running" state). */
     ResponseFrame execute(Job &job);
 
-    /** kMutate: trial-commit a batch into the tenant's graph, then
-     * incremental recompute certified against full recompute. */
+    /** kMutate: commitMutation() with the WAL append as its durable
+     * step, booked into the mutate counters. */
     ResponseFrame executeMutate(Job &job);
+
+    /** What one commitMutation() did, for the caller's books. */
+    struct MutationCommit
+    {
+        ResponseFrame resp;     ///< code, message, checksum, degradations
+        BatchResult result;     ///< a bounced batch: all ops rejected
+        bool committed = false; ///< the batch is in the graph
+        bool compacted = false; ///< threshold compaction committed
+    };
+
+    /** Gets the post-batch stamp (snapshotFingerprint, numEdges); sets
+     * @p lsn to the WAL record covering the batch, or refuses typed. */
+    using DurableStep =
+        std::function<Status(uint64_t fp, uint64_t edges, uint64_t *lsn)>;
+
+    /** The one kMutate commit path (live and WAL replay): decode,
+     * find or create the tenant, apply in place, gate on conservation,
+     * @p deadline and @p durable (no stamp when empty), rolling back a
+     * refused batch; then fold + certify the maintainer, compact. */
+    MutationCommit commitMutation(const RequestFrame &req,
+                                  const Deadline &deadline,
+                                  const DurableStep &durable);
 
     /** kSnapshot: checksum the tenant's merged CSR. */
     ResponseFrame executeSnapshot(Job &job);
@@ -265,7 +290,8 @@ class BatchServer
     void bumpTenant(uint64_t tenant, const char *what);
 
     /** Startup recovery (ctor-only): load the newest valid checkpoint,
-     * replay + certify the WAL suffix. Throws typed Error on refusal. */
+     * replay the WAL suffix through commitMutation(). Throws typed
+     * Error on refusal. */
     void recover();
 
     /** Background checkpoint timer (checkpointInterval > 0). */

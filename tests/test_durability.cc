@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1094,6 +1095,7 @@ TEST(ServerRecovery, WalFaultBouncesBatchAndStopsFurtherAcks)
         BatchServer server(durableConfig(dir), pool);
         ASSERT_EQ(server.call(mutateRequest(edges, 1, 0)).code,
                   ErrorCode::kOk);
+        const uint64_t before = snapshotChecksum(server, 1, 908);
 
         // The request carries its own fault plan: the fsync under its
         // append fails, so the batch must bounce typed and UNcommitted.
@@ -1106,6 +1108,8 @@ TEST(ServerRecovery, WalFaultBouncesBatchAndStopsFurtherAcks)
         EXPECT_NE(resp.message.find("not committed"),
                   std::string::npos)
             << resp.message;
+        // The healthy apply was rolled back out of the served graph.
+        EXPECT_EQ(snapshotChecksum(server, 1, 909), before);
 
         // The writer is poisoned: further mutations are refused (the
         // server will not acknowledge what it cannot recover) while
@@ -1146,6 +1150,65 @@ TEST(ServerRecovery, RecoveryBudgetRefusesTyped)
     } catch (const Error &e) {
         EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted) << e.what();
     }
+}
+
+TEST(ServerRecovery, RecoveredTenantsServeLikeANeverCrashedServer)
+{
+    // One degree tenant and one pagerank tenant: replay folds each
+    // record into the kernel's incremental maintainer and certifies it
+    // per batch, exactly as the live path does.
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 33);
+    const fs::path dir = freshDir("srv_live_eq");
+    const size_t batches = 7, checkpointAfter = 3;
+    auto request = [&edges](uint64_t tenant, size_t b) {
+        RequestFrame req = mutateRequest(edges, tenant, b);
+        req.kernel = tenant == 1 ? ServerKernel::kDegreeCount
+                                 : ServerKernel::kPagerank;
+        return req;
+    };
+
+    // The no-crash oracle: the whole stream plus one more batch.
+    std::map<uint64_t, uint64_t> want;
+    {
+        BatchServer ref(ServerConfig{}, pool);
+        for (size_t b = 0; b < batches; ++b)
+            for (uint64_t tenant : {1, 2})
+                ASSERT_EQ(ref.call(request(tenant, b)).code,
+                          ErrorCode::kOk);
+        for (uint64_t tenant : {1, 2}) {
+            const ResponseFrame resp = ref.call(request(tenant, batches));
+            ASSERT_EQ(resp.code, ErrorCode::kOk) << resp.message;
+            want[tenant] = resp.resultChecksum;
+        }
+        ref.stop();
+    }
+
+    {
+        BatchServer server(durableConfig(dir), pool);
+        for (size_t b = 0; b < batches; ++b) {
+            if (b == checkpointAfter)
+                ASSERT_TRUE(server.checkpointNow().ok());
+            for (uint64_t tenant : {1, 2})
+                ASSERT_EQ(server.call(request(tenant, b)).code,
+                          ErrorCode::kOk);
+        }
+        server.stop(); // crash: no shutdown checkpoint
+    }
+
+    BatchServer revived(durableConfig(dir), pool);
+    const RecoveryReport &rr = revived.recovery();
+    EXPECT_TRUE(rr.checkpointLoaded);
+    EXPECT_EQ(rr.skippedRecords, 2 * checkpointAfter);
+    EXPECT_EQ(rr.replayedBatches, 2 * (batches - checkpointAfter));
+    for (uint64_t tenant : {1, 2}) {
+        const ResponseFrame resp = revived.call(request(tenant, batches));
+        ASSERT_EQ(resp.code, ErrorCode::kOk) << resp.message;
+        EXPECT_EQ(resp.degradations, 0u) << resp.message;
+        EXPECT_EQ(resp.resultChecksum, want[tenant]) << "tenant " << tenant;
+    }
+    revived.stop();
+    EXPECT_TRUE(revived.stats().conserved());
 }
 
 TEST(ServerRecovery, BackgroundCheckpointsInterleaveWithMutations)

@@ -153,27 +153,115 @@ TEST(Incremental, ZipfStreamCertifiesAtEveryThreadCount)
 
 // ------------------------------------------------- fault matrix
 
+/** Everything a rolled-back batch must leave exactly as it was. */
+struct GraphImage
+{
+    uint64_t fingerprint = 0;
+    uint64_t edges = 0;
+    uint64_t delta = 0;
+    std::vector<EdgeOffset> degrees;
+};
+
+GraphImage
+imageOf(const DynamicGraph &g)
+{
+    GraphImage im;
+    im.fingerprint = g.snapshotFingerprint();
+    im.edges = g.numEdges();
+    im.delta = g.deltaEdges();
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        im.degrees.push_back(g.degree(v));
+    return im;
+}
+
+void
+expectSameImage(const GraphImage &want, const DynamicGraph &g)
+{
+    const GraphImage got = imageOf(g);
+    EXPECT_EQ(got.fingerprint, want.fingerprint);
+    EXPECT_EQ(got.edges, want.edges);
+    EXPECT_EQ(got.delta, want.delta);
+    EXPECT_EQ(got.degrees, want.degrees);
+}
+
+/** A graph with base edges, tombstones, and delta-only inserts, so a
+ * rollback has every kind of row state to restore. */
+DynamicGraph
+seededGraph(ThreadPool &pool, PhaseRecorder &rec, const EdgeList &edges)
+{
+    DynamicGraph g(1 << 10);
+    g.applyBatch(streamBatch(edges, 0, 512));
+    EXPECT_TRUE(g.compact(pool, rec, 64).ok());
+    g.applyBatch(streamBatch(edges, 1, 512));
+    EXPECT_GT(g.deltaEdges(), 0u);
+    return g;
+}
+
 TEST(IncrementalFaults, DroppedDrainInApplyIsTypedDataLoss)
 {
     ThreadPool pool(4);
     PhaseRecorder rec;
     const EdgeList edges = generateUniform(1 << 10, 1 << 12, 5);
-    DynamicGraph g(1 << 10);
-    const MutationBatch batch = streamBatch(edges, 0, 512);
+    DynamicGraph g = seededGraph(pool, rec, edges);
+    const MutationBatch batch = streamBatch(edges, 2, 512);
+    const GraphImage before = imageOf(g);
 
-    // Trial-commit discipline: the fault hits a copy, never the graph
-    // a caller would keep serving from.
-    DynamicGraph trial(g);
-    FaultInjector fi(FaultSite::kPbDropDrain, 2);
-    FaultInjector::Scope scope(fi);
-    const BatchResult r = trial.applyBatchParallel(pool, rec, batch, 64);
-    (void)r;
-    ASSERT_FALSE(trial.health().ok());
-    EXPECT_EQ(trial.health().code(), ErrorCode::kDataLoss);
-    EXPECT_FALSE(trial.health().message().empty());
-    EXPECT_FALSE(fi.provenance().empty());
-    // The pristine original is untouched.
-    EXPECT_EQ(g.numEdges(), 0u);
+    // The fault hits the served graph itself: the apply is
+    // all-or-nothing, so the partial batch is rolled back before the
+    // typed verdict comes back.
+    {
+        FaultInjector fi(FaultSite::kPbDropDrain, 2);
+        FaultInjector::Scope scope(fi);
+        const BatchResult r = g.applyBatchParallel(pool, rec, batch, 64);
+        (void)r;
+        ASSERT_FALSE(g.health().ok());
+        EXPECT_EQ(g.health().code(), ErrorCode::kDataLoss);
+        EXPECT_FALSE(g.health().message().empty());
+        EXPECT_FALSE(fi.provenance().empty());
+    }
+    expectSameImage(before, g);
+    // Nothing is left to undo.
+    EXPECT_THROW(g.rollbackLastBatch(), Error);
+
+    // The failure is transient: the same batch now lands exactly as
+    // the serial reference applies it.
+    DynamicGraph ref = seededGraph(pool, rec, edges);
+    ref.applyBatch(batch);
+    const BatchResult r = g.applyBatchParallel(pool, rec, batch, 64);
+    ASSERT_TRUE(g.health().ok()) << g.health().toString();
+    EXPECT_TRUE(r.conserved(batch.size()));
+    expectSameImage(imageOf(ref), g);
+}
+
+TEST(IncrementalFaults, HealthyApplyRollsBackToThePreBatchGraph)
+{
+    ThreadPool pool(4);
+    PhaseRecorder rec;
+    const EdgeList edges = generateUniform(1 << 10, 1 << 12, 6);
+    DynamicGraph g = seededGraph(pool, rec, edges);
+    const MutationBatch batch = streamBatch(edges, 2, 512);
+    const GraphImage before = imageOf(g);
+
+    // A healthy apply the caller then refuses (the server's deadline
+    // and WAL gates): rollback restores the touched rows and totals.
+    const BatchResult r = g.applyBatchParallel(pool, rec, batch, 64);
+    ASSERT_TRUE(g.health().ok()) << g.health().toString();
+    ASSERT_GT(r.applied(), 0u);
+    ASSERT_NE(g.snapshotFingerprint(), before.fingerprint);
+    g.rollbackLastBatch();
+    expectSameImage(before, g);
+    EXPECT_THROW(g.rollbackLastBatch(), Error);
+
+    // Re-applied, the batch reaches the same state as never having
+    // rolled back; a committed compaction then ends its undo window.
+    DynamicGraph ref = seededGraph(pool, rec, edges);
+    ref.applyBatch(batch);
+    g.applyBatchParallel(pool, rec, batch, 64);
+    ASSERT_TRUE(g.health().ok()) << g.health().toString();
+    expectSameImage(imageOf(ref), g);
+    ASSERT_TRUE(g.compact(pool, rec, 64).ok());
+    EXPECT_THROW(g.rollbackLastBatch(), Error);
+    EXPECT_EQ(g.snapshotFingerprint(), ref.snapshotFingerprint());
 }
 
 TEST(IncrementalFaults, CompactionFaultsAreAllOrNothing)
@@ -264,6 +352,23 @@ mutateRequest(uint64_t tenant, uint64_t id, const EdgeList &edges,
         req.payload.push_back(op.dst);
     }
     return req;
+}
+
+/** kSnapshot checksum of @p tenant's merged graph. */
+uint64_t
+snapshotChecksum(BatchServer &server, uint64_t tenant, uint64_t id,
+                 uint64_t indices)
+{
+    RequestFrame req;
+    req.tenantId = tenant;
+    req.requestId = id;
+    req.kernel = ServerKernel::kDegreeCount;
+    req.op = RequestOp::kSnapshot;
+    req.bins = 64;
+    req.numIndices = indices;
+    const ResponseFrame resp = server.call(std::move(req));
+    EXPECT_EQ(resp.code, ErrorCode::kOk) << resp.message;
+    return resp.resultChecksum;
 }
 
 TEST(FrameMutate, MutateRoundTripPreservesOpAndDeleteBits)
@@ -429,8 +534,9 @@ TEST(IncrementalServer, InjectedDropBouncesBatchWithoutCorruption)
 
     ASSERT_EQ(server.call(mutateRequest(7, 1, edges, 0, 256, n)).code,
               ErrorCode::kOk);
+    const uint64_t before = snapshotChecksum(server, 7, 10, n);
 
-    // A dropped drain inside the trial apply: the batch must bounce
+    // A dropped drain inside the in-place apply: the batch must bounce
     // typed, and the committed graph must keep serving.
     RequestFrame bad = mutateRequest(7, 2, edges, 1, 256, n);
     bad.injectSite = static_cast<uint32_t>(FaultSite::kPbDropDrain);
@@ -438,6 +544,8 @@ TEST(IncrementalServer, InjectedDropBouncesBatchWithoutCorruption)
     ResponseFrame resp = server.call(std::move(bad));
     EXPECT_EQ(resp.code, ErrorCode::kDataLoss);
     EXPECT_FALSE(resp.message.empty());
+    // Rolled back: the served graph is bit-for-bit the pre-batch one.
+    EXPECT_EQ(snapshotChecksum(server, 7, 11, n), before);
 
     // Same batch, no chaos: applies cleanly against the uncorrupted
     // tenant graph and still certifies.
