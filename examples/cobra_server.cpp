@@ -29,7 +29,9 @@
  * serves state it cannot certify. --fsync-policy picks the
  * latency/durability trade (always | group:N | none);
  * --checkpoint-interval S checkpoints every S seconds (0 =
- * shutdown-only).
+ * shutdown-only); --wal-version (default 1) picks the record stamp
+ * new batches carry (1: ordered snapshot fingerprint, O(V + E) per
+ * batch; 2: edge-set hash, O(batch)). Recovery reads both.
  */
 
 #include <csignal>
@@ -73,6 +75,7 @@ struct Options
     std::string walDir;       ///< empty = durability disabled
     std::string fsyncPolicy = "always";
     uint64_t checkpointIntervalS = 0; ///< 0 = shutdown-only
+    std::string walVersion = "1";
 };
 
 [[noreturn]] void
@@ -87,7 +90,8 @@ usage(const char *argv0)
                  "       [--metrics out.json]\n"
                  "       [--wal-dir dir] [--fsync-policy "
                  "always|group:N|none]\n"
-                 "       [--checkpoint-interval seconds]\n";
+                 "       [--checkpoint-interval seconds] "
+                 "[--wal-version 1|2]\n";
     std::exit(2);
 }
 
@@ -132,6 +136,8 @@ main(int argc, char **argv)
             o.fsyncPolicy = next();
         else if (a == "--checkpoint-interval")
             o.checkpointIntervalS = std::stoull(next());
+        else if (a == "--wal-version")
+            o.walVersion = next();
         else
             usage(argv[0]);
     }
@@ -164,6 +170,14 @@ main(int argc, char **argv)
             return 2;
         }
         cfg.durability.fsync = *p;
+        if (o.walVersion != "1" && o.walVersion != "2") {
+            std::cerr << "error: bad --wal-version '" << o.walVersion
+                      << "' (want 1 | 2)\n";
+            return 2;
+        }
+        cfg.durability.walStampVersion =
+            o.walVersion == "1" ? kWalVersionSnapshotStamp
+                                : kWalVersionEdgeSetStamp;
         cfg.durability.checkpointInterval =
             std::chrono::seconds(o.checkpointIntervalS);
     }
@@ -186,15 +200,17 @@ main(int argc, char **argv)
     if (!o.walDir.empty()) {
         const RecoveryReport &rr = server->recovery();
         std::cout << "durability: wal-dir " << o.walDir << ", fsync "
-                  << o.fsyncPolicy << ", recovered "
+                  << o.fsyncPolicy << ", writes v" << o.walVersion
+                  << ", recovered "
                   << (rr.checkpointLoaded
                           ? "checkpoint@lsn " +
                                 std::to_string(rr.checkpointLsn) + " (" +
                                 std::to_string(rr.checkpointTenants) +
                                 " tenants) + "
                           : std::string())
-                  << rr.replayedBatches << " replayed batches ("
-                  << rr.replayedOps << " ops, " << rr.skippedRecords
+                  << rr.replayedBatches << " replayed batches (v1 "
+                  << rr.replayedV1Records << ", v2 " << rr.replayedV2Records
+                  << "; " << rr.replayedOps << " ops, " << rr.skippedRecords
                   << " skipped, torn tail " << rr.tornTailBytes
                   << " B) in " << rr.durationMicros << " us\n";
     }

@@ -46,7 +46,8 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
         size_t consumed2 = 0;
         if (!decodeWalRecord(buf.data(), buf.size(), &again, &consumed2)
                  .ok() ||
-            consumed2 != consumed || again.lsn != rec.lsn ||
+            consumed2 != consumed || again.version != rec.version ||
+            again.lsn != rec.lsn ||
             again.postFingerprint != rec.postFingerprint ||
             again.postLiveEdges != rec.postLiveEdges ||
             again.payload != rec.payload)

@@ -51,6 +51,12 @@
 # binning path gets the same test coverage as the portable build. The
 # portable build always runs first: the scalar batch path must pass on
 # its own, not just as the fallback inside an AVX2 build.
+#
+# Last, the serving benchmark (perfbench/) is built with the exact
+# configure line perfbench/run.py uses (Release, .bench_build/). It
+# compiles against src/ (WalRecord, WalWriter, DynamicGraph, the
+# kernels, fnv1a), so an API change that breaks it fails here rather
+# than at benchmark time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,3 +102,6 @@ if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
 else
     echo "tier1: host lacks AVX2; skipping COBRA_NATIVE_ARCH pass"
 fi
+
+cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build --target perfbench -j "$(nproc)"

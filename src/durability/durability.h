@@ -33,6 +33,14 @@ struct DurabilityConfig
 
     FsyncPolicy fsync;
 
+    /** Version of the WAL records live batches append (wal.h): v1
+     * stamps the O(V + E) ordered snapshotFingerprint(), v2 the
+     * O(batch) edgeSetHash(). Recovery reads either, whatever this
+     * says. v1 stays the default so a log this server writes still
+     * recovers on a server that reads only v1; set v2 once no such
+     * server has to read the log. */
+    uint16_t walStampVersion = kWalVersionSnapshotStamp;
+
     /** Background checkpoint cadence; zero means checkpoint only at
      * graceful shutdown. */
     std::chrono::milliseconds checkpointInterval{0};
@@ -57,15 +65,17 @@ struct DurabilityConfig
  * the durability.recovery.* metrics). */
 struct RecoveryReport
 {
-    bool ran = false;              ///< durability enabled at startup
+    bool ran = false;               ///< durability enabled at startup
     bool checkpointLoaded = false;
-    uint64_t checkpointLsn = 0;    ///< capture lsn of the loaded ckpt
+    uint64_t checkpointLsn = 0;     ///< capture lsn of the loaded ckpt
     uint64_t checkpointTenants = 0;
-    uint64_t walRecords = 0;       ///< verified records found on disk
-    uint64_t replayedBatches = 0;  ///< records replayed past the ckpt
-    uint64_t replayedOps = 0;      ///< mutation ops inside those
-    uint64_t skippedRecords = 0;   ///< already covered by the ckpt
-    uint64_t tornTailBytes = 0;    ///< truncated from the final segment
+    uint64_t walRecords = 0;        ///< verified records found on disk
+    uint64_t replayedBatches = 0;   ///< records replayed past the ckpt
+    uint64_t replayedV1Records = 0; ///< of those: snapshot-stamped (v1)
+    uint64_t replayedV2Records = 0; ///< of those: edge-set-stamped (v2)
+    uint64_t replayedOps = 0;       ///< mutation ops inside those
+    uint64_t skippedRecords = 0;    ///< already covered by the ckpt
+    uint64_t tornTailBytes = 0;     ///< truncated from the final segment
     uint64_t durationMicros = 0;
 };
 

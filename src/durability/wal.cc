@@ -68,15 +68,24 @@ getU64(const uint8_t *p)
 
 constexpr size_t kCrcOffset = 20;
 
-/** CRC over the record bytes with the crc field zeroed (see wal.h). */
-uint32_t
-recordCrc(const std::vector<uint8_t> &buf)
+bool
+knownVersion(uint16_t v)
 {
-    uint32_t c = crc32cExtend(0, buf.data() + 8, kCrcOffset - 8);
+    return v == kWalVersionSnapshotStamp || v == kWalVersionEdgeSetStamp;
+}
+
+/** CRC over the record's header from its version's first covered byte
+ * (v1: 8, v2: 4), the crc field zeroed, then the payload (see wal.h).
+ * @p rec holds at least kWalHeaderBytes + payload_len bytes. */
+uint32_t
+recordCrc(const uint8_t *rec, uint16_t version, size_t payload_len)
+{
+    const size_t from = version == kWalVersionSnapshotStamp ? 8 : 4;
+    uint32_t c = crc32cExtend(0, rec + from, kCrcOffset - from);
     const uint32_t zero = 0;
     c = crc32cExtend(c, &zero, 4);
-    c = crc32cExtend(c, buf.data() + kCrcOffset + 4,
-                     buf.size() - (kCrcOffset + 4));
+    c = crc32cExtend(c, rec + kCrcOffset + 4,
+                     kWalHeaderBytes - (kCrcOffset + 4) + payload_len);
     return c;
 }
 
@@ -209,10 +218,12 @@ encodeWalRecord(const WalRecord &rec)
                    "WAL payload of " << rec.payload.size()
                                      << " bytes exceeds the "
                                      << kWalMaxPayloadBytes << " cap");
+    COBRA_THROW_IF(!knownVersion(rec.version), ErrorCode::kInvalidArgument,
+                   "unsupported WAL record version " << rec.version);
     std::vector<uint8_t> buf;
     buf.reserve(kWalHeaderBytes + rec.payload.size());
     putU32(buf, kWalMagic);
-    putU16(buf, kWalVersion);
+    putU16(buf, rec.version);
     putU16(buf, 0); // flags
     putU64(buf, rec.lsn);
     putU32(buf, static_cast<uint32_t>(rec.payload.size()));
@@ -220,7 +231,8 @@ encodeWalRecord(const WalRecord &rec)
     putU64(buf, rec.postFingerprint);
     putU64(buf, rec.postLiveEdges);
     buf.insert(buf.end(), rec.payload.begin(), rec.payload.end());
-    const uint32_t crc = recordCrc(buf);
+    const uint32_t crc =
+        recordCrc(buf.data(), rec.version, rec.payload.size());
     buf[kCrcOffset + 0] = static_cast<uint8_t>(crc);
     buf[kCrcOffset + 1] = static_cast<uint8_t>(crc >> 8);
     buf[kCrcOffset + 2] = static_cast<uint8_t>(crc >> 16);
@@ -240,10 +252,11 @@ decodeWalRecord(const uint8_t *data, size_t len, WalRecord *out,
                           "-byte header");
     if (getU32(data) != kWalMagic)
         return Status(ErrorCode::kCorruptFile, "bad WAL record magic");
-    if (getU16(data + 4) != kWalVersion)
+    const uint16_t version = getU16(data + 4);
+    if (!knownVersion(version))
         return Status(ErrorCode::kCorruptFile,
                       "unsupported WAL record version " +
-                          std::to_string(getU16(data + 4)));
+                          std::to_string(version));
     if (getU16(data + 6) != 0)
         return Status(ErrorCode::kCorruptFile,
                       "nonzero WAL record flags");
@@ -260,11 +273,7 @@ decodeWalRecord(const uint8_t *data, size_t len, WalRecord *out,
                           std::to_string(len - kWalHeaderBytes) +
                           " remain");
     const uint32_t stored = getU32(data + kCrcOffset);
-    uint32_t c = crc32cExtend(0, data + 8, kCrcOffset - 8);
-    const uint32_t zero = 0;
-    c = crc32cExtend(c, &zero, 4);
-    c = crc32cExtend(c, data + kCrcOffset + 4,
-                     kWalHeaderBytes - (kCrcOffset + 4) + payloadLen);
+    const uint32_t c = recordCrc(data, version, payloadLen);
     if (c != stored) {
         std::ostringstream oss;
         oss << "WAL record CRC mismatch at lsn " << getU64(data + 8)
@@ -272,6 +281,7 @@ decodeWalRecord(const uint8_t *data, size_t len, WalRecord *out,
         return Status(ErrorCode::kCorruptFile, oss.str());
     }
     if (out) {
+        out->version = version;
         out->lsn = getU64(data + 8);
         out->postFingerprint = getU64(data + 24);
         out->postLiveEdges = getU64(data + 32);
@@ -546,7 +556,7 @@ readWal(const std::string &dir, WalReadResult *out, bool repair_torn_tail)
             // media corruption wherever it sits.
             bool incomplete = remaining < kWalHeaderBytes;
             if (!incomplete && getU32(bytes.data() + pos) == kWalMagic &&
-                getU16(bytes.data() + pos + 4) == kWalVersion) {
+                knownVersion(getU16(bytes.data() + pos + 4))) {
                 const uint64_t payloadLen = getU32(bytes.data() + pos + 16);
                 if (payloadLen <= kWalMaxPayloadBytes &&
                     remaining < kWalHeaderBytes + payloadLen)

@@ -16,18 +16,28 @@
  *   +6   u16  flags   (must be zero)
  *   +8   u64  lsn     strictly sequential, starts at 1
  *   +16  u32  payloadLen
- *   +20  u32  crc32c  over bytes [8,40) with this field zeroed, then
+ *   +20  u32  crc32c  over the header with this field zeroed, then
  *                     the payload — header lies and payload rot are
- *                     one check
- *   +24  u64  postFingerprint   DynamicGraph::snapshotFingerprint()
- *                               after the batch committed
+ *                     one check. v1 covers bytes [8,40); v2 covers
+ *                     [4,40), version and flags too, so a version
+ *                     field flipped between two valid values fails
+ *                     the CRC of the version it claims
+ *   +24  u64  postFingerprint   the post-batch graph stamp:
+ *                               v1 DynamicGraph::snapshotFingerprint(),
+ *                               v2 DynamicGraph::edgeSetHash()
  *   +32  u64  postLiveEdges     live-edge count after the batch
  *
  * The post-state stamps make every record self-certifying: recovery
  * replays the batch through the normal PB-binned mutation path and
- * compares the resulting fingerprint against what the no-crash server
+ * compares the resulting stamp against what the no-crash server
  * computed before acknowledging — a divergent replay is refused, never
- * served.
+ * served. The two versions differ in which stamp they carry (and in
+ * the CRC's first covered byte). v2's O(batch) multiset hash keeps
+ * the per-batch stamp off the O(V + E) ordered hash. The reader
+ * accepts both, so a log written before v2 (or mixing the two) still
+ * replays, each record checked against its own version's stamp. The
+ * server writes DurabilityConfig::walStampVersion (default v1, which
+ * a reader without v2 support can still recover).
  *
  * Segments: records append to `wal-<firstLsn>.log`; a checkpoint
  * rotates to a fresh segment so fully-covered segments can be deleted
@@ -59,7 +69,9 @@
 namespace cobra {
 
 inline constexpr uint32_t kWalMagic = 0x4C415743u; // "CWAL"
-inline constexpr uint16_t kWalVersion = 1;
+/** Record versions: which post-batch stamp postFingerprint holds. */
+inline constexpr uint16_t kWalVersionSnapshotStamp = 1;
+inline constexpr uint16_t kWalVersionEdgeSetStamp = 2;
 inline constexpr size_t kWalHeaderBytes = 40;
 
 /** Payload cap, mirroring the wire frame cap the payload came from. */
@@ -87,13 +99,15 @@ std::string to_string(const FsyncPolicy &p);
 /** One logged mutation batch plus its self-certification stamps. */
 struct WalRecord
 {
+    uint16_t version = kWalVersionSnapshotStamp;
     uint64_t lsn = 0;
     uint64_t postFingerprint = 0;
     uint64_t postLiveEdges = 0;
     std::vector<uint8_t> payload; ///< encodeRequest() of the kMutate frame
 };
 
-/** Serialize one record (header + payload, CRC filled in). */
+/** Serialize one record (header + payload, CRC filled in). Throws
+ * kInvalidArgument for a version the reader would not accept. */
 std::vector<uint8_t> encodeWalRecord(const WalRecord &rec);
 
 /**

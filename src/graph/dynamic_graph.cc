@@ -5,25 +5,41 @@
 
 #include "src/check/fault_injector.h"
 #include "src/graph/builder.h"
-#include "src/util/fnv.h"
 #include "src/pb/bin_range.h"
 #include "src/pb/parallel_pb.h"
+#include "src/util/fnv.h"
+#include "src/util/rng.h"
 
 namespace cobra {
+
+namespace {
+
+/** One live edge's term in edgeSetHash(). */
+uint64_t
+edgeMix(NodeId src, NodeId dst)
+{
+    return mix64(uint64_t{src} << 32 | dst);
+}
+
+} // namespace
 
 DynamicGraph::DynamicGraph(NodeId num_nodes)
     : nodes_(num_nodes), delta_(num_nodes), degree_(num_nodes, 0)
 {
-    base_ = CsrGraph(std::vector<EdgeOffset>(num_nodes + 1, 0), {});
+    base_ = std::make_shared<const CsrGraph>(
+        std::vector<EdgeOffset>(num_nodes + 1, 0), std::vector<NodeId>{});
+    edgeSetHash_ = baseEdgeSetHash();
 }
 
 DynamicGraph::DynamicGraph(NodeId num_nodes, const EdgeList &base)
     : nodes_(num_nodes), delta_(num_nodes), degree_(num_nodes, 0)
 {
-    base_ = buildSortedDedupRef(num_nodes, base);
+    base_ = std::make_shared<const CsrGraph>(
+        buildSortedDedupRef(num_nodes, base));
     for (NodeId v = 0; v < nodes_; ++v)
-        degree_[v] = base_.degree(v);
-    liveEdges_ = base_.numEdges();
+        degree_[v] = base_->degree(v);
+    liveEdges_ = base_->numEdges();
+    edgeSetHash_ = baseEdgeSetHash();
 }
 
 DynamicGraph::DynamicGraph(CsrGraph base)
@@ -39,16 +55,59 @@ DynamicGraph::DynamicGraph(CsrGraph base)
                                << i << " — refusing a base snapshot "
                                   "that breaks the merge invariants");
     }
-    base_ = std::move(base);
+    base_ = std::make_shared<const CsrGraph>(std::move(base));
     for (NodeId v = 0; v < nodes_; ++v)
-        degree_[v] = base_.degree(v);
-    liveEdges_ = base_.numEdges();
+        degree_[v] = base_->degree(v);
+    liveEdges_ = base_->numEdges();
+    edgeSetHash_ = baseEdgeSetHash();
+}
+
+uint64_t
+DynamicGraph::baseEdgeSetHash() const
+{
+    uint64_t h = 0;
+    for (NodeId v = 0; v < nodes_; ++v)
+        for (NodeId dst : base_->neighbors(v))
+            h += edgeMix(v, dst);
+    return h;
+}
+
+template <typename Fn>
+void
+DynamicGraph::forEachLiveNeighbor(NodeId v, Fn &&fn) const
+{
+    const auto row = base_->neighbors(v);
+    const auto &d = delta_[v];
+    if (d.empty()) { // the common row: nothing to merge
+        for (NodeId dst : row)
+            fn(dst);
+        return;
+    }
+    size_t bi = 0, di = 0;
+    while (bi < row.size() || di < d.size()) {
+        if (di == d.size() || (bi < row.size() && row[bi] < d[di].dst)) {
+            fn(row[bi++]);
+        } else if (bi == row.size() || d[di].dst < row[bi]) {
+            // Delta-only entry: a non-tombstone insert (a tombstone
+            // always shadows a base edge, so it cannot be delta-only).
+            if (!d[di].tomb)
+                fn(d[di].dst);
+            ++di;
+        } else {
+            // Same dst on both sides: the delta entry is a tombstone
+            // (an insert over a live base edge dedups, never lands).
+            if (!d[di].tomb)
+                fn(row[bi]);
+            ++bi;
+            ++di;
+        }
+    }
 }
 
 bool
 DynamicGraph::baseHasEdge(NodeId src, NodeId dst) const
 {
-    const auto row = base_.neighbors(src);
+    const auto row = base_->neighbors(src);
     return std::binary_search(row.begin(), row.end(), dst);
 }
 
@@ -69,27 +128,7 @@ DynamicGraph::liveNeighbors(NodeId v) const
 {
     std::vector<NodeId> out;
     out.reserve(static_cast<size_t>(degree_[v]));
-    const auto row = base_.neighbors(v);
-    const auto &d = delta_[v];
-    size_t bi = 0, di = 0;
-    while (bi < row.size() || di < d.size()) {
-        if (di == d.size() || (bi < row.size() && row[bi] < d[di].dst)) {
-            out.push_back(row[bi++]);
-        } else if (bi == row.size() || d[di].dst < row[bi]) {
-            // Delta-only entry: a non-tombstone insert (a tombstone
-            // always shadows a base edge, so it cannot be delta-only).
-            if (!d[di].tomb)
-                out.push_back(d[di].dst);
-            ++di;
-        } else {
-            // Same dst on both sides: the delta entry is a tombstone
-            // (an insert over a live base edge dedups, never lands).
-            if (!d[di].tomb)
-                out.push_back(row[bi]);
-            ++bi;
-            ++di;
-        }
-    }
+    forEachLiveNeighbor(v, [&out](NodeId dst) { out.push_back(dst); });
     return out;
 }
 
@@ -139,6 +178,7 @@ DynamicGraph::saveUndo(const MutationBatch &batch)
     }
     undo_.liveEdges = liveEdges_;
     undo_.deltaEntries = deltaEntries_;
+    undo_.edgeSetHash = edgeSetHash_;
     undo_.armed = true;
 }
 
@@ -153,6 +193,7 @@ DynamicGraph::rollbackLastBatch()
     }
     liveEdges_ = undo_.liveEdges;
     deltaEntries_ = undo_.deltaEntries;
+    edgeSetHash_ = undo_.edgeSetHash;
     undo_ = Undo{};
 }
 
@@ -162,20 +203,25 @@ DynamicGraph::reduceOutcomes(const MutationBatch &batch,
 {
     BatchResult r;
     uint64_t lost = 0;
+    uint64_t hash = undo_.edgeSetHash;
     std::vector<NodeId> dsts, srcs;
     for (size_t i = 0; i < batch.ops.size(); ++i) {
+        const MutationBatch::Op &op = batch.ops[i];
         switch (outcomes[i]) {
-          case kOutcomeInserted: ++r.inserted; break;
-          case kOutcomeRemoved: ++r.removed; break;
-          case kOutcomeDeduped: ++r.deduped; break;
-          case kOutcomeRejected: ++r.rejected; break;
+          case kOutcomeInserted:
+            ++r.inserted;
+            hash += edgeMix(op.src, op.dst);
+            break;
+          case kOutcomeRemoved:
+            ++r.removed;
+            hash -= edgeMix(op.src, op.dst);
+            break;
+          case kOutcomeDeduped: ++r.deduped; continue;
+          case kOutcomeRejected: ++r.rejected; continue;
           default: ++lost; continue;
         }
-        if (outcomes[i] == kOutcomeInserted ||
-            outcomes[i] == kOutcomeRemoved) {
-            dsts.push_back(batch.ops[i].dst);
-            srcs.push_back(batch.ops[i].src);
-        }
+        dsts.push_back(op.dst);
+        srcs.push_back(op.src);
     }
     std::sort(dsts.begin(), dsts.end());
     dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
@@ -185,6 +231,7 @@ DynamicGraph::reduceOutcomes(const MutationBatch &batch,
     r.degreeChangedSrcs = std::move(srcs);
 
     liveEdges_ = undo_.liveEdges + r.inserted - r.removed;
+    edgeSetHash_ = hash;
     for (size_t i = 0; i < undo_.srcs.size(); ++i) // only rows it touched
         deltaEntries_ += delta_[undo_.srcs[i]].size() - undo_.rows[i].size();
 
@@ -265,32 +312,14 @@ DynamicGraph::mergeLiveEdges(EdgeList &out) const
             if (fi->fire(FaultSite::kBinOffsetSkew, v))
                 skip = fi->skewAmount(); // skewed merge: head lost
         }
-        const auto row = base_.neighbors(v);
-        const auto &d = delta_[v];
-        size_t bi = 0, di = 0;
-        auto emit = [&](NodeId dst) {
+        forEachLiveNeighbor(v, [&](NodeId dst) {
             if (skip > 0) {
                 --skip;
                 return;
             }
             out.push_back(Edge{v, dst});
             ++emitted;
-        };
-        while (bi < row.size() || di < d.size()) {
-            if (di == d.size() ||
-                (bi < row.size() && row[bi] < d[di].dst)) {
-                emit(row[bi++]);
-            } else if (bi == row.size() || d[di].dst < row[bi]) {
-                if (!d[di].tomb)
-                    emit(d[di].dst);
-                ++di;
-            } else {
-                if (!d[di].tomb)
-                    emit(row[bi]);
-                ++bi;
-                ++di;
-            }
-        }
+        });
     }
     return emitted;
 }
@@ -304,26 +333,23 @@ DynamicGraph::snapshotCsr() const
     std::vector<NodeId> neighs;
     neighs.reserve(static_cast<size_t>(liveEdges_));
     for (NodeId v = 0; v < nodes_; ++v)
-        for (NodeId dst : liveNeighbors(v))
-            neighs.push_back(dst);
+        forEachLiveNeighbor(v,
+                            [&neighs](NodeId dst) { neighs.push_back(dst); });
     return CsrGraph(std::move(offsets), std::move(neighs));
 }
 
 uint64_t
 DynamicGraph::snapshotFingerprint() const
 {
-    // Degree sequence first, then every neighbor in snapshot order —
-    // exactly the word stream kSnapshot hashes, without materializing
-    // the offsets array.
-    std::vector<uint32_t> w;
-    w.reserve(static_cast<size_t>(nodes_) +
-              static_cast<size_t>(liveEdges_));
+    // Degree sequence first, then every neighbor in snapshot order,
+    // hashed as the merge produces it: the word stream kSnapshot
+    // hashes, without materializing it.
+    Fnv1a h;
     for (NodeId v = 0; v < nodes_; ++v)
-        w.push_back(static_cast<uint32_t>(degree_[v]));
+        h.add(static_cast<uint32_t>(degree_[v]));
     for (NodeId v = 0; v < nodes_; ++v)
-        for (NodeId dst : liveNeighbors(v))
-            w.push_back(dst);
-    return fnv1a(w.data(), w.size());
+        forEachLiveNeighbor(v, [&h](NodeId dst) { h.add(dst); });
+    return h.value();
 }
 
 EdgeList
@@ -332,8 +358,8 @@ DynamicGraph::toEdgeList() const
     EdgeList el;
     el.reserve(static_cast<size_t>(liveEdges_));
     for (NodeId v = 0; v < nodes_; ++v)
-        for (NodeId dst : liveNeighbors(v))
-            el.push_back(Edge{v, dst});
+        forEachLiveNeighbor(
+            v, [&el, v](NodeId dst) { el.push_back(Edge{v, dst}); });
     return el;
 }
 
@@ -342,7 +368,7 @@ DynamicGraph::needsCompaction() const
 {
     if (deltaEntries_ == 0)
         return false;
-    const uint64_t base = std::max<uint64_t>(base_.numEdges(), 1);
+    const uint64_t base = std::max<uint64_t>(base_->numEdges(), 1);
     return static_cast<double>(deltaEntries_) >
            compactRatio_ * static_cast<double>(base);
 }
@@ -396,10 +422,12 @@ DynamicGraph::compact(ThreadPool &pool, PhaseRecorder &rec,
         health_ = s;
         return health_;
     }
-    // Post-invariants: every cursor exhausted its range and every
-    // neighborhood is strictly ascending (sorted + deduplicated). A
-    // violation here means a scatter seam lost or reordered tuples in
-    // a way the runner's totals did not catch.
+    // Post-invariants: every cursor exhausted its range, every
+    // neighborhood is strictly ascending (sorted + deduplicated), and
+    // the edge multiset is unchanged (edgeSetHash_ must not move). A
+    // violation here means a scatter seam lost, reordered, or
+    // rewrote tuples in a way the runner's totals did not catch.
+    uint64_t hash = 0;
     for (NodeId v = 0; v < nodes_; ++v) {
         if (cursor[v] != offsets[v + 1]) {
             std::ostringstream oss;
@@ -408,8 +436,9 @@ DynamicGraph::compact(ThreadPool &pool, PhaseRecorder &rec,
             health_ = Status(ErrorCode::kDataLoss, oss.str());
             return health_;
         }
-        for (EdgeOffset i = offsets[v] + 1; i < offsets[v + 1]; ++i) {
-            if (neighs[i - 1] >= neighs[i]) {
+        for (EdgeOffset i = offsets[v]; i < offsets[v + 1]; ++i) {
+            hash += edgeMix(v, neighs[i]);
+            if (i > offsets[v] && neighs[i - 1] >= neighs[i]) {
                 std::ostringstream oss;
                 oss << "compaction produced unsorted adjacency at vertex "
                     << v;
@@ -418,8 +447,15 @@ DynamicGraph::compact(ThreadPool &pool, PhaseRecorder &rec,
             }
         }
     }
+    if (hash != edgeSetHash_) {
+        health_ = Status(ErrorCode::kDataLoss,
+                         "compaction changed the live edge set "
+                         "(edge-set hash moved)");
+        return health_;
+    }
 
-    base_ = CsrGraph(std::move(offsets), std::move(neighs));
+    base_ = std::make_shared<const CsrGraph>(std::move(offsets),
+                                             std::move(neighs));
     for (auto &d : delta_) {
         d.clear();
         d.shrink_to_fit();

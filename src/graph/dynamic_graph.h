@@ -37,12 +37,21 @@
  *     submitted ops == applied (inserted + removed) + deduped + rejected
  * where deduped = insert of an already-live edge and rejected = delete
  * of an edge that is not live.
+ *
+ * Two fingerprints of the live edge set: snapshotFingerprint() hashes
+ * the ordered snapshot (O(V + E) per call), while edgeSetHash() is a
+ * multiset hash (MSet-Add-Hash: a wrapping sum of one mix per edge)
+ * maintained per batch. An insert adds its edge's mix and a delete
+ * subtracts it, a commutative update that folds in any op, bin, or
+ * thread order, so the hash costs a batch only what the batch
+ * touches.
  */
 
 #ifndef COBRA_GRAPH_DYNAMIC_GRAPH_H
 #define COBRA_GRAPH_DYNAMIC_GRAPH_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/graph/csr.h"
@@ -110,11 +119,14 @@ struct BatchResult
 };
 
 /** Base CSR + per-vertex tombstoned delta segments. Copyable (the
- * server's checkpoint captures a copy under the tenant lock). */
+ * server's checkpoint captures a copy under the tenant lock); a copy
+ * shares the immutable base CSR and copies only the deltas and the
+ * cached degrees. */
 class DynamicGraph
 {
   public:
-    /** Empty graph over [0, num_nodes). */
+    /** Empty graph over [0, num_nodes). Every constructor computes
+     * edgeSetHash() from scratch; the copy constructor copies it. */
     explicit DynamicGraph(NodeId num_nodes);
 
     /** Seed from an edge list; the base snapshot is the sorted,
@@ -166,9 +178,10 @@ class DynamicGraph
 
     /**
      * Undo the last applyBatch()/applyBatchParallel(): restore each
-     * source row it touched (delta segment, cached degree) and the
-     * edge totals, in O(touched rows). Valid until the next apply or
-     * committed compaction; otherwise throws kFailedPrecondition.
+     * source row it touched (delta segment, cached degree), the edge
+     * totals, and edgeSetHash(), in O(touched rows). Valid until the
+     * next apply or committed compaction; otherwise throws
+     * kFailedPrecondition.
      */
     void rollbackLastBatch();
 
@@ -181,13 +194,33 @@ class DynamicGraph
 
     /**
      * FNV-1a over the merged snapshot's degree sequence followed by
-     * its neighbor array — the same fingerprint kSnapshot serves
-     * (ResponseFrame::resultChecksum) and the WAL stamps into every
-     * record as the expected post-batch state. Deterministic across
-     * thread counts and invariant under compaction, so a recovered
-     * replica can be compared bit-for-bit against the no-crash run.
+     * its neighbor array — the fingerprint kSnapshot serves
+     * (ResponseFrame::resultChecksum), checkpoints store, and
+     * version-1 WAL records stamp. Streams each row's base∪delta
+     * merge straight into the hash (no per-row or V+E buffer), but it
+     * is still O(V + E): a server writing version-2 WAL records
+     * stamps edgeSetHash() instead. Deterministic across thread
+     * counts and invariant under compaction, so a recovered replica
+     * can be compared bit-for-bit against the no-crash run.
      */
     uint64_t snapshotFingerprint() const;
+
+    /**
+     * Multiset hash of the live edge set: the wrapping sum of
+     * mix64(uint64(src) << 32 | dst) over live edges. Maintained per
+     * batch in O(batch) (inserted ops add, removed ops subtract,
+     * deduped and rejected ops leave it alone), unchanged by
+     * compaction, restored by rollback — the stamp version-2 WAL
+     * records carry. It is folded from each op's outcome code, not
+     * re-read from the rows, so it certifies the applied-outcome
+     * stream: a row that disagrees with its op's reported outcome
+     * leaves it unchanged. Rows are checked against it only by
+     * compact()'s sweep (and, per batch, by the server's
+     * full-recompute certification of degrees). Order-free, so it
+     * says nothing about adjacency layout; snapshotFingerprint()
+     * still certifies that.
+     */
+    uint64_t edgeSetHash() const { return edgeSetHash_; }
 
     /** Live edges flattened in snapshot order (sorted by src, dst). */
     EdgeList toEdgeList() const;
@@ -243,13 +276,22 @@ class DynamicGraph
         std::vector<NodeId> srcs; ///< sorted, unique batch sources
         std::vector<std::vector<DeltaEntry>> rows; ///< delta_[srcs[i]]
         std::vector<EdgeOffset> degrees;           ///< degree_[srcs[i]]
-        uint64_t liveEdges = 0, deltaEntries = 0;
+        uint64_t liveEdges = 0, deltaEntries = 0, edgeSetHash = 0;
         bool armed = false;
     };
 
     void saveUndo(const MutationBatch &batch);
 
     bool baseHasEdge(NodeId src, NodeId dst) const;
+
+    /** Call @p fn(dst) for each live neighbor of @p v, ascending: the
+     * linear base∪delta merge every read is built on. */
+    template <typename Fn>
+    void forEachLiveNeighbor(NodeId v, Fn &&fn) const;
+
+    /** edgeSetHash() of the base CSR alone (constructors: no delta). */
+    uint64_t baseEdgeSetHash() const;
+
     OpOutcome applyOp(NodeId src, NodeId dst, bool remove);
 
     /** Fold per-op outcomes into a BatchResult + counters; flags any
@@ -269,11 +311,14 @@ class DynamicGraph
     uint64_t mergeLiveEdges(EdgeList &out) const;
 
     NodeId nodes_ = 0;
-    CsrGraph base_; ///< sorted + deduplicated
+    /** Sorted + deduplicated. Never modified once built: constructors
+     * and compact() replace the pointer, so copies share it. */
+    std::shared_ptr<const CsrGraph> base_;
     std::vector<std::vector<DeltaEntry>> delta_;
     std::vector<EdgeOffset> degree_; ///< cached live out-degrees
     uint64_t liveEdges_ = 0;
     uint64_t deltaEntries_ = 0;
+    uint64_t edgeSetHash_ = 0;
     uint64_t compactions_ = 0;
     double compactRatio_ = 0.25;
     Status health_;

@@ -26,6 +26,14 @@ namespace cobra {
 
 namespace {
 
+/** The post-batch stamp a WAL record of @p version carries (wal.h). */
+uint64_t
+walStamp(const DynamicGraph &g, uint16_t version)
+{
+    return version == kWalVersionEdgeSetStamp ? g.edgeSetHash()
+                                              : g.snapshotFingerprint();
+}
+
 uint64_t
 microsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -49,6 +57,11 @@ BatchServer::BatchServer(ServerConfig cfg, ThreadPool &pool)
       queues_(cfg_.tenantWeights)
 {
     if (cfg_.durability.enabled()) {
+        const uint16_t v = cfg_.durability.walStampVersion;
+        COBRA_THROW_IF(v != kWalVersionSnapshotStamp &&
+                           v != kWalVersionEdgeSetStamp,
+                       ErrorCode::kInvalidArgument,
+                       "unsupported WAL stamp version " << v);
         // Recovery runs to completion (or throws its typed refusal)
         // before the first dispatcher exists: no request can observe a
         // half-recovered graph.
@@ -256,15 +269,19 @@ BatchServer::executeMutate(Job &job)
 
     // Durability point: the batch is acknowledgeable only once its WAL
     // record (the wire frame plus the post-state stamp) is appended
-    // and fsynced per policy; a refusal rolls it back. walMu_ makes
-    // lsn assignment and append one step: on-disk order is lsn order.
+    // and fsynced per policy; a refusal rolls it back. The stamp is
+    // computed here, for the configured record version only: with v2
+    // the live path reads the per-batch edge-set hash and never
+    // computes the O(V + E) ordered fingerprint. walMu_ makes lsn
+    // assignment and append one step: on-disk order is lsn order.
     DurableStep walAppend;
     if (wal_)
-        walAppend = [this, &req](uint64_t fp, uint64_t edges,
+        walAppend = [this, &req](const DynamicGraph &g,
                                  uint64_t *lsn) -> Status {
             WalRecord wrec;
-            wrec.postFingerprint = fp;
-            wrec.postLiveEdges = edges;
+            wrec.version = cfg_.durability.walStampVersion;
+            wrec.postFingerprint = walStamp(g, wrec.version);
+            wrec.postLiveEdges = g.numEdges();
             try {
                 wrec.payload = encodeRequest(req);
             } catch (const Error &e) {
@@ -386,9 +403,7 @@ BatchServer::commitMutation(const RequestFrame &req,
                              "batch; batch not committed"));
     if (durable) {
         uint64_t lsn = 0;
-        if (Status st = durable(g.snapshotFingerprint(), g.numEdges(),
-                                &lsn);
-            !st.ok())
+        if (Status st = durable(g, &lsn); !st.ok())
             return refuse(st);
         state->lastLsn = lsn;
     }
@@ -496,7 +511,8 @@ BatchServer::executeSnapshot(Job &job)
     Timer t;
     // The degree sequence followed by every neighbor id, in snapshot
     // order: two replicas that applied the same batches agree on this
-    // bit-for-bit (and it is the stamp every WAL record carries).
+    // bit-for-bit (and it is the stamp checkpoints and v1 WAL records
+    // carry; v2 records carry the order-free edge-set hash).
     resp.resultChecksum = state->graph->snapshotFingerprint();
     resp.serverMicros = static_cast<uint64_t>(t.seconds() * 1e6);
     resp.code = ErrorCode::kOk;
@@ -814,9 +830,9 @@ BatchServer::recover()
 
         const MutationCommit c = commitMutation(
             rreq, Deadline{},
-            [&wrec](uint64_t fp, uint64_t edges, uint64_t *lsn) {
-                if (edges != wrec.postLiveEdges ||
-                    fp != wrec.postFingerprint)
+            [&wrec](const DynamicGraph &g, uint64_t *lsn) {
+                if (g.numEdges() != wrec.postLiveEdges ||
+                    walStamp(g, wrec.version) != wrec.postFingerprint)
                     return Status(ErrorCode::kDataLoss,
                                   "replayed state diverges from the "
                                   "acknowledged state — refusing to "
@@ -830,6 +846,9 @@ BatchServer::recover()
                             std::to_string(wrec.lsn) + " failed: " +
                             c.resp.message);
         ++recovery_.replayedBatches;
+        ++(wrec.version == kWalVersionEdgeSetStamp
+               ? recovery_.replayedV2Records
+               : recovery_.replayedV1Records);
         recovery_.replayedOps += rreq.numUpdates();
     }
 
@@ -842,6 +861,12 @@ BatchServer::recover()
     if (MetricsCounter *c =
             metricsCounter("durability.recovery.replayed_batches"))
         c->add(recovery_.replayedBatches);
+    if (MetricsCounter *c =
+            metricsCounter("durability.recovery.replayed_v1_records"))
+        c->add(recovery_.replayedV1Records);
+    if (MetricsCounter *c =
+            metricsCounter("durability.recovery.replayed_v2_records"))
+        c->add(recovery_.replayedV2Records);
     if (MetricsCounter *c =
             metricsCounter("durability.recovery.skipped_records"))
         c->add(recovery_.skippedRecords);

@@ -39,13 +39,14 @@
  *
  * Mutable graphs: a kMutate request addresses a per-tenant
  * DynamicGraph instead of a one-shot kernel. Live batches and WAL
- * replay share one commit path: apply in place, stamp the post-state,
- * run the durable step (live: WAL append; replay: match the logged
- * stamp), then re-certify the incremental degree/Pagerank result
- * against a full recompute (DifferentialOracle::firstDivergence). A
- * batch refused before its durable step is rolled back from the
- * graph's undo record, and the op-level books close under their own
- * conservation identity (ServerStats::conserved).
+ * replay share one commit path: apply in place, hand the post-batch
+ * graph to the durable step (live: WAL append stamped per
+ * DurabilityConfig::walStampVersion; replay: match the logged stamp
+ * of the record's version), then re-certify the incremental degree/Pagerank
+ * result against a full recompute (DifferentialOracle::
+ * firstDivergence). A batch refused before its durable step is rolled
+ * back from the graph's undo record, and the op-level books close
+ * under their own conservation identity (ServerStats::conserved).
  */
 
 #ifndef COBRA_SERVER_BATCH_SERVER_H
@@ -267,10 +268,11 @@ class BatchServer
         bool compacted = false; ///< threshold compaction committed
     };
 
-    /** Gets the post-batch stamp (snapshotFingerprint, numEdges); sets
+    /** Gets the post-batch graph and stamps or checks it (live: the
+     * configured record version; replay: the record's own); sets
      * @p lsn to the WAL record covering the batch, or refuses typed. */
     using DurableStep =
-        std::function<Status(uint64_t fp, uint64_t edges, uint64_t *lsn)>;
+        std::function<Status(const DynamicGraph &g, uint64_t *lsn)>;
 
     /** The one kMutate commit path (live and WAL replay): decode,
      * find or create the tenant, apply in place, gate on conservation,

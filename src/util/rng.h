@@ -14,20 +14,25 @@
 
 namespace cobra {
 
+/**
+ * The SplitMix64 output finalizer: a bijective 64-bit mix. Also the
+ * per-edge mix of DynamicGraph::edgeSetHash().
+ */
+constexpr uint64_t
+mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** SplitMix64: used to expand a single 64-bit seed into a full state. */
 class SplitMix64
 {
   public:
     explicit SplitMix64(uint64_t seed) : state(seed) {}
 
-    uint64_t
-    next()
-    {
-        uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
+    uint64_t next() { return mix64(state += 0x9e3779b97f4a7c15ULL); }
 
   private:
     uint64_t state;

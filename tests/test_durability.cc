@@ -14,7 +14,12 @@
  *    typed (kCorruptFile), at the tail or mid-log;
  *  - every checkpoint/WAL interleaving the server can produce
  *    (no checkpoint, one, two, corrupt-newest, lost suffix) must
- *    recover to the no-crash fingerprint or refuse.
+ *    recover to the no-crash fingerprint or refuse;
+ *  - both record versions — v1 (snapshotFingerprint stamp, what
+ *    older servers wrote) and v2 (edgeSetHash stamp, what the server
+ *    writes) — run through the codec and reader matrices, a v1 log
+ *    and a v1-then-v2 log recover, and a lying stamp of either
+ *    version refuses startup.
  *
  * The in-process crash model: cfg.durability.checkpointOnShutdown =
  * false makes stop() tear down without the final checkpoint, leaving
@@ -81,9 +86,11 @@ spit(const fs::path &p, const std::string &bytes)
 }
 
 WalRecord
-makeRecord(uint64_t lsn, size_t payload_bytes)
+makeRecord(uint64_t lsn, size_t payload_bytes,
+           uint16_t version = kWalVersionSnapshotStamp)
 {
     WalRecord rec;
+    rec.version = version;
     rec.lsn = lsn;
     rec.postFingerprint = 0x1000 + lsn;
     rec.postLiveEdges = 10 * lsn;
@@ -124,24 +131,44 @@ TEST(FsyncPolicy, ParseAndRoundTrip)
 
 // ------------------------------------------------- record codec
 
+/** Both record versions the reader accepts (v1: snapshot stamp, v2:
+ * edge-set stamp); the codec and reader matrices run over each. */
+constexpr uint16_t kVersions[] = {kWalVersionSnapshotStamp,
+                                  kWalVersionEdgeSetStamp};
+
 TEST(WalRecord, RoundTripIncludingEmptyPayload)
 {
-    for (size_t payload : {size_t{0}, size_t{1}, size_t{48},
-                           size_t{1000}}) {
-        SCOPED_TRACE(payload);
-        const WalRecord rec = makeRecord(7, payload);
-        const std::vector<uint8_t> buf = encodeWalRecord(rec);
-        ASSERT_EQ(buf.size(), kWalHeaderBytes + payload);
-        WalRecord got;
-        size_t consumed = 0;
-        ASSERT_TRUE(
-            decodeWalRecord(buf.data(), buf.size(), &got, &consumed)
-                .ok());
-        EXPECT_EQ(consumed, buf.size());
-        EXPECT_EQ(got.lsn, rec.lsn);
-        EXPECT_EQ(got.postFingerprint, rec.postFingerprint);
-        EXPECT_EQ(got.postLiveEdges, rec.postLiveEdges);
-        EXPECT_EQ(got.payload, rec.payload);
+    for (uint16_t version : kVersions)
+        for (size_t payload : {size_t{0}, size_t{1}, size_t{48},
+                               size_t{1000}}) {
+            SCOPED_TRACE(payload);
+            SCOPED_TRACE(version);
+            const WalRecord rec = makeRecord(7, payload, version);
+            const std::vector<uint8_t> buf = encodeWalRecord(rec);
+            ASSERT_EQ(buf.size(), kWalHeaderBytes + payload);
+            WalRecord got;
+            size_t consumed = 0;
+            ASSERT_TRUE(
+                decodeWalRecord(buf.data(), buf.size(), &got, &consumed)
+                    .ok());
+            EXPECT_EQ(consumed, buf.size());
+            EXPECT_EQ(got.version, version);
+            EXPECT_EQ(got.lsn, rec.lsn);
+            EXPECT_EQ(got.postFingerprint, rec.postFingerprint);
+            EXPECT_EQ(got.postLiveEdges, rec.postLiveEdges);
+            EXPECT_EQ(got.payload, rec.payload);
+        }
+}
+
+TEST(WalRecord, DefaultIsVersionOneAndUnknownVersionsDoNotEncode)
+{
+    EXPECT_EQ(WalRecord{}.version, kWalVersionSnapshotStamp);
+    const std::vector<uint8_t> buf = encodeWalRecord(makeRecord(1, 4));
+    EXPECT_EQ(buf[4], kWalVersionSnapshotStamp);
+    EXPECT_EQ(buf[5], 0u);
+    for (uint16_t bad : {uint16_t{0}, uint16_t{3}, uint16_t{9}}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(encodeWalRecord(makeRecord(1, 4, bad)), Error);
     }
 }
 
@@ -150,17 +177,41 @@ TEST(WalRecord, RoundTripIncludingEmptyPayload)
 // back as a typed kCorruptFile, never as a silently different record.
 TEST(WalRecord, EveryByteFlipIsRejectedTyped)
 {
-    const std::vector<uint8_t> buf = encodeWalRecord(makeRecord(3, 21));
-    for (size_t site = 0; site < buf.size(); ++site) {
-        SCOPED_TRACE(site);
-        std::vector<uint8_t> bad = buf;
-        bad[site] ^= 0xFF;
-        WalRecord got;
-        size_t consumed = 0;
+    for (uint16_t version : kVersions) {
+        SCOPED_TRACE(version);
+        const std::vector<uint8_t> buf =
+            encodeWalRecord(makeRecord(3, 21, version));
+        for (size_t site = 0; site < buf.size(); ++site) {
+            SCOPED_TRACE(site);
+            std::vector<uint8_t> bad = buf;
+            bad[site] ^= 0xFF;
+            WalRecord got;
+            size_t consumed = 0;
+            const Status s =
+                decodeWalRecord(bad.data(), bad.size(), &got, &consumed);
+            ASSERT_FALSE(s.ok());
+            EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.toString();
+        }
+    }
+}
+
+// ^0xFF above never turns one valid version into the other; ^0x03 on
+// the version byte swaps 1 and 2. v2's CRC covers the version field,
+// so the swap fails the CRC of whichever version the record claims.
+TEST(WalRecord, VersionSwapIsRejectedTyped)
+{
+    for (uint16_t version : kVersions) {
+        SCOPED_TRACE(version);
+        std::vector<uint8_t> bad =
+            encodeWalRecord(makeRecord(3, 21, version));
+        bad[4] ^= 0x03;
+        ASSERT_NE(bad[4], version);
         const Status s =
-            decodeWalRecord(bad.data(), bad.size(), &got, &consumed);
+            decodeWalRecord(bad.data(), bad.size(), nullptr, nullptr);
         ASSERT_FALSE(s.ok());
         EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.toString();
+        EXPECT_NE(s.message().find("CRC"), std::string::npos)
+            << s.toString();
     }
 }
 
@@ -250,18 +301,20 @@ TEST(WalWriter, RotationStitchesSegments)
 }
 
 // The crash-consistency core, exhaustively: one segment of three
-// records, truncated at EVERY byte length. Each prefix must read back
-// as exactly the complete records that fit, with the remainder
-// reported as the torn tail — Ok at every single length, because a
-// crash mid-append can produce any of these files.
-TEST(WalReader, TornTailAtEveryByteBoundaryIsSurvivable)
+// records (record i has version versions[i]), truncated at EVERY byte
+// length. Each prefix must read back as exactly the complete records
+// that fit, with the remainder reported as the torn tail — Ok at every
+// single length, because a crash mid-append can produce any of these
+// files.
+void
+tornTailMatrix(const std::vector<uint16_t> &versions)
 {
     const fs::path ref = freshDir("torn_ref");
     {
         WalWriter w(ref.string(), *parseFsyncPolicy("none"), 1);
-        ASSERT_TRUE(w.append(makeRecord(1, 30)).ok());
-        ASSERT_TRUE(w.append(makeRecord(2, 0)).ok());
-        ASSERT_TRUE(w.append(makeRecord(3, 17)).ok());
+        ASSERT_TRUE(w.append(makeRecord(1, 30, versions[0])).ok());
+        ASSERT_TRUE(w.append(makeRecord(2, 0, versions[1])).ok());
+        ASSERT_TRUE(w.append(makeRecord(3, 17, versions[2])).ok());
     }
     const std::string full = slurp(ref / walSegmentName(1));
     const size_t b1 = kWalHeaderBytes + 30;
@@ -284,9 +337,22 @@ TEST(WalReader, TornTailAtEveryByteBoundaryIsSurvivable)
                   : boundary == b2 ? 2u
                   : boundary == b1 ? 1u
                                    : 0u);
+        for (size_t i = 0; i < rr.records.size(); ++i)
+            EXPECT_EQ(rr.records[i].version, versions[i]);
         EXPECT_EQ(rr.tornTailBytes, len - boundary);
         if (len != boundary)
             EXPECT_FALSE(rr.tornSegment.empty());
+    }
+}
+
+// All-v1, all-v2, and a segment that switches from v1 to v2.
+TEST(WalReader, TornTailAtEveryByteBoundaryIsSurvivable)
+{
+    using Pattern = std::vector<uint16_t>;
+    for (const Pattern &versions :
+         {Pattern{1, 1, 1}, Pattern{2, 2, 2}, Pattern{1, 2, 2}}) {
+        SCOPED_TRACE(::testing::PrintToString(versions));
+        tornTailMatrix(versions);
     }
 }
 
@@ -348,35 +414,39 @@ TEST(WalReader, CompleteBadRecordAtTailIsCorruptionNotTorn)
 // checkpoint proves the records existed.)
 TEST(WalReader, EveryMidLogFlipRefusesOrTruncatesNeverMisreads)
 {
-    const fs::path ref = freshDir("midlog_ref");
-    {
-        WalWriter w(ref.string(), *parseFsyncPolicy("none"), 1);
-        ASSERT_TRUE(w.append(makeRecord(1, 48)).ok());
-        ASSERT_TRUE(w.append(makeRecord(2, 8)).ok());
-    }
-    const std::string full = slurp(ref / walSegmentName(1));
-    const size_t rec1 = kWalHeaderBytes + 48;
-
-    const fs::path dir = freshDir("midlog_matrix");
-    for (size_t site = 0; site < rec1; ++site) {
-        SCOPED_TRACE(site);
-        std::string bytes = full;
-        bytes[site] = static_cast<char>(bytes[site] ^ 0xFF);
-        spit(dir / walSegmentName(1), bytes);
-        WalReadResult rr;
-        const Status s = readWal(dir.string(), &rr);
-        if (!s.ok()) {
-            EXPECT_EQ(s.code(), ErrorCode::kCorruptFile)
-                << s.toString();
-            continue;
+    for (uint16_t version : kVersions) {
+        SCOPED_TRACE(version);
+        const fs::path ref = freshDir("midlog_ref");
+        {
+            WalWriter w(ref.string(), *parseFsyncPolicy("none"), 1);
+            ASSERT_TRUE(w.append(makeRecord(1, 48, version)).ok());
+            ASSERT_TRUE(w.append(makeRecord(2, 8, version)).ok());
         }
-        // Only the length fields can reach here, and only by making
-        // the record incomplete — which must surface as zero records
-        // and the whole file reported torn, never as a misread.
-        EXPECT_GE(site, 16u);
-        EXPECT_LT(site, 20u);
-        EXPECT_EQ(rr.records.size(), 0u);
-        EXPECT_EQ(rr.tornTailBytes, bytes.size());
+        const std::string full = slurp(ref / walSegmentName(1));
+        const size_t rec1 = kWalHeaderBytes + 48;
+
+        const fs::path dir = freshDir("midlog_matrix");
+        for (size_t site = 0; site < rec1; ++site) {
+            SCOPED_TRACE(site);
+            std::string bytes = full;
+            bytes[site] = static_cast<char>(bytes[site] ^ 0xFF);
+            spit(dir / walSegmentName(1), bytes);
+            WalReadResult rr;
+            const Status s = readWal(dir.string(), &rr);
+            if (!s.ok()) {
+                EXPECT_EQ(s.code(), ErrorCode::kCorruptFile)
+                    << s.toString();
+                continue;
+            }
+            // Only the length fields can reach here, and only by
+            // making the record incomplete — which must surface as
+            // zero records and the whole file reported torn, never as
+            // a misread.
+            EXPECT_GE(site, 16u);
+            EXPECT_LT(site, 20u);
+            EXPECT_EQ(rr.records.size(), 0u);
+            EXPECT_EQ(rr.tornTailBytes, bytes.size());
+        }
     }
 }
 
@@ -762,12 +832,17 @@ snapshotChecksum(BatchServer &server, uint64_t tenant, uint64_t id)
     return resp.resultChecksum;
 }
 
+/** A crash-test server config. It writes v2 records unless @p stamp
+ * says otherwise; ServerConfig's own default is v1 (see
+ * DefaultConfigWritesVersionOneRecords). */
 ServerConfig
-durableConfig(const fs::path &dir, const char *fsync = "always")
+durableConfig(const fs::path &dir, const char *fsync = "always",
+              uint16_t stamp = kWalVersionEdgeSetStamp)
 {
     ServerConfig cfg;
     cfg.durability.walDir = dir.string();
     cfg.durability.fsync = *parseFsyncPolicy(fsync);
+    cfg.durability.walStampVersion = stamp;
     cfg.durability.checkpointOnShutdown = false; // the crash knob
     return cfg;
 }
@@ -784,6 +859,37 @@ referenceChecksum(ThreadPool &pool, const EdgeList &edges,
     const uint64_t sum = snapshotChecksum(ref, tenant, 900);
     ref.stop();
     return sum;
+}
+
+/**
+ * The log a server from before version-2 records left behind:
+ * @p batches mutateRequest() batches of @p tenant, each logged as a
+ * default (version-1) WalRecord stamped with the ordered
+ * snapshotFingerprint() of a replica graph the batches were applied to.
+ */
+void
+writeV1Log(const fs::path &dir, const EdgeList &edges, uint64_t tenant,
+           size_t batches)
+{
+    DynamicGraph g(static_cast<NodeId>(kN));
+    WalWriter w(dir.string(), *parseFsyncPolicy("always"), 1);
+    for (size_t b = 0; b < batches; ++b) {
+        const RequestFrame req = mutateRequest(edges, tenant, b);
+        MutationBatch batch;
+        for (size_t i = 0; i + 1 < req.payload.size(); i += 2) {
+            const uint32_t sw = req.payload[i];
+            batch.ops.push_back(MutationBatch::Op{
+                sw & ~kMutateDeleteBit, req.payload[i + 1],
+                (sw & kMutateDeleteBit) != 0});
+        }
+        g.applyBatch(batch);
+        WalRecord rec;
+        rec.lsn = b + 1;
+        rec.postFingerprint = g.snapshotFingerprint();
+        rec.postLiveEdges = g.numEdges();
+        rec.payload = encodeRequest(req);
+        ASSERT_TRUE(w.append(rec).ok());
+    }
 }
 
 TEST(ServerRecovery, DisabledDurabilityStaysMemoryOnly)
@@ -805,36 +911,42 @@ TEST(ServerRecovery, AckedEqualsRecoveredAcrossFsyncPolicies)
     // In-process teardown does not drop the page cache, so even
     // fsync=none recovers here; the policies differ only under a real
     // SIGKILL (scripts/soak.sh --crash covers that with fsync=always).
-    for (const char *fsync : {"always", "group:2", "none"}) {
-        SCOPED_TRACE(fsync);
-        const fs::path dir =
-            freshDir(std::string("srv_ack_") + fsync);
-        uint64_t acked = 0;
-        {
-            BatchServer server(durableConfig(dir, fsync), pool);
-            for (size_t b = 0; b < 4; ++b)
-                ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
-                          ErrorCode::kOk);
-            acked = snapshotChecksum(server, 1, 901);
-            server.stop(); // crash: no shutdown checkpoint
+    for (uint16_t version : kVersions) {
+        for (const char *fsync : {"always", "group:2", "none"}) {
+            SCOPED_TRACE(fsync);
+            SCOPED_TRACE(version);
+            const fs::path dir = freshDir(std::string("srv_ack_") + fsync +
+                                          "_v" + std::to_string(version));
+            uint64_t acked = 0;
+            {
+                BatchServer server(durableConfig(dir, fsync, version), pool);
+                for (size_t b = 0; b < 4; ++b)
+                    ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
+                              ErrorCode::kOk);
+                acked = snapshotChecksum(server, 1, 901);
+                server.stop(); // crash: no shutdown checkpoint
+            }
+            EXPECT_EQ(acked, want);
+
+            BatchServer revived(durableConfig(dir, fsync, version), pool);
+            const RecoveryReport &rr = revived.recovery();
+            EXPECT_TRUE(rr.ran);
+            EXPECT_FALSE(rr.checkpointLoaded);
+            EXPECT_EQ(rr.walRecords, 4u);
+            EXPECT_EQ(rr.replayedBatches, 4u);
+            const bool v2 = version == kWalVersionEdgeSetStamp;
+            EXPECT_EQ(rr.replayedV2Records, v2 ? 4u : 0u);
+            EXPECT_EQ(rr.replayedV1Records, v2 ? 0u : 4u);
+            EXPECT_EQ(rr.replayedOps, 4u * kOps);
+            EXPECT_EQ(snapshotChecksum(revived, 1, 902), want);
+
+            // The revived server is fully live: new acks append past the
+            // recovered LSN frontier and the books still close.
+            ASSERT_EQ(revived.call(mutateRequest(edges, 1, 4)).code,
+                      ErrorCode::kOk);
+            revived.stop();
+            EXPECT_TRUE(revived.stats().conserved());
         }
-        EXPECT_EQ(acked, want);
-
-        BatchServer revived(durableConfig(dir, fsync), pool);
-        const RecoveryReport &rr = revived.recovery();
-        EXPECT_TRUE(rr.ran);
-        EXPECT_FALSE(rr.checkpointLoaded);
-        EXPECT_EQ(rr.walRecords, 4u);
-        EXPECT_EQ(rr.replayedBatches, 4u);
-        EXPECT_EQ(rr.replayedOps, 4u * kOps);
-        EXPECT_EQ(snapshotChecksum(revived, 1, 902), want);
-
-        // The revived server is fully live: new acks append past the
-        // recovered LSN frontier and the books still close.
-        ASSERT_EQ(revived.call(mutateRequest(edges, 1, 4)).code,
-                  ErrorCode::kOk);
-        revived.stop();
-        EXPECT_TRUE(revived.stats().conserved());
     }
 }
 
@@ -955,40 +1067,161 @@ TEST(ServerRecovery, MidLogCorruptionRefusesStartup)
     }
 }
 
-TEST(ServerRecovery, FingerprintDivergenceRefusesStartup)
+TEST(ServerRecovery, VersionOneLogRecovers)
 {
     ThreadPool pool(4);
-    const EdgeList edges = generateUniform(kN, 1 << 12, 26);
-    const fs::path dir = freshDir("srv_diverge");
+    const EdgeList edges = generateUniform(kN, 1 << 12, 34);
+    const fs::path dir = freshDir("srv_v1_log");
+    const uint64_t want = referenceChecksum(pool, edges, 1, 4);
+    writeV1Log(dir, edges, 1, 4);
+
+    BatchServer revived(durableConfig(dir), pool);
+    const RecoveryReport &rr = revived.recovery();
+    EXPECT_EQ(rr.replayedBatches, 4u);
+    EXPECT_EQ(rr.replayedV1Records, 4u);
+    EXPECT_EQ(rr.replayedV2Records, 0u);
+    EXPECT_EQ(snapshotChecksum(revived, 1, 913), want);
+    revived.stop();
+}
+
+// An upgrade: v1 records from an older server, the v2 records a
+// server configured for v2 appends on top of them, then a crash. Each record is
+// certified against its own version's stamp.
+TEST(ServerRecovery, VersionOneThenVersionTwoLogRecovers)
+{
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 35);
+    const fs::path dir = freshDir("srv_v1_then_v2");
+    const uint64_t want = referenceChecksum(pool, edges, 1, 6);
+    writeV1Log(dir, edges, 1, 3);
     {
         BatchServer server(durableConfig(dir), pool);
+        EXPECT_EQ(server.recovery().replayedV1Records, 3u);
+        for (size_t b = 3; b < 6; ++b)
+            ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
+                      ErrorCode::kOk);
+        server.stop(); // crash: no shutdown checkpoint
+    }
+    WalReadResult wr;
+    ASSERT_TRUE(readWal(dir.string(), &wr).ok());
+    ASSERT_EQ(wr.records.size(), 6u);
+    for (size_t i = 0; i < wr.records.size(); ++i)
+        EXPECT_EQ(wr.records[i].version,
+                  i < 3 ? kWalVersionSnapshotStamp
+                        : kWalVersionEdgeSetStamp)
+            << "record " << i;
+
+    BatchServer revived(durableConfig(dir), pool);
+    const RecoveryReport &rr = revived.recovery();
+    EXPECT_EQ(rr.replayedBatches, 6u);
+    EXPECT_EQ(rr.replayedV1Records, 3u);
+    EXPECT_EQ(rr.replayedV2Records, 3u);
+    EXPECT_EQ(snapshotChecksum(revived, 1, 914), want);
+    revived.stop();
+}
+
+TEST(ServerRecovery, DefaultConfigWritesVersionOneRecords)
+{
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 36);
+    const fs::path dir = freshDir("srv_default_v1");
+    ServerConfig cfg;
+    cfg.durability.walDir = dir.string();
+    cfg.durability.checkpointOnShutdown = false;
+    EXPECT_EQ(cfg.durability.walStampVersion, kWalVersionSnapshotStamp);
+    {
+        BatchServer server(cfg, pool);
         for (size_t b = 0; b < 2; ++b)
             ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
                       ErrorCode::kOk);
         server.stop();
     }
-    // Re-stamp the last record with a lying post-state fingerprint —
-    // CRC-valid, structurally perfect, semantically divergent. Replay
-    // must notice the replayed graph does not match the ack.
-    WalReadResult rr;
-    ASSERT_TRUE(readWal(dir.string(), &rr).ok());
-    ASSERT_EQ(rr.records.size(), 2u);
-    WalRecord lying = rr.records[1];
-    lying.postFingerprint ^= 1;
-    const std::vector<uint8_t> b0 = encodeWalRecord(rr.records[0]);
-    const std::vector<uint8_t> b1 = encodeWalRecord(lying);
-    std::string bytes(b0.begin(), b0.end());
-    bytes.append(b1.begin(), b1.end());
-    spit(dir / walSegmentName(1), bytes);
+    WalReadResult wr;
+    ASSERT_TRUE(readWal(dir.string(), &wr).ok());
+    ASSERT_EQ(wr.records.size(), 2u);
+    for (const WalRecord &rec : wr.records)
+        EXPECT_EQ(rec.version, kWalVersionSnapshotStamp);
 
-    try {
-        BatchServer revived(durableConfig(dir), pool);
-        FAIL() << "divergent replay must refuse startup";
-    } catch (const Error &e) {
-        EXPECT_EQ(e.code(), ErrorCode::kDataLoss) << e.what();
-        EXPECT_NE(std::string(e.what()).find("refusing"),
-                  std::string::npos)
-            << e.what();
+    for (uint16_t bad : {uint16_t{0}, uint16_t{3}}) {
+        SCOPED_TRACE(bad);
+        cfg.durability.walStampVersion = bad;
+        try {
+            BatchServer refused(cfg, pool);
+            FAIL() << "an unknown stamp version must not start";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+        }
+    }
+}
+
+// A rollback of the writer: v2 records, then a server configured back
+// to v1 appends on top of them, then a crash.
+TEST(ServerRecovery, VersionTwoThenVersionOneLogRecovers)
+{
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 37);
+    const fs::path dir = freshDir("srv_v2_then_v1");
+    const uint64_t want = referenceChecksum(pool, edges, 1, 4);
+    for (uint16_t version :
+         {kWalVersionEdgeSetStamp, kWalVersionSnapshotStamp}) {
+        BatchServer server(durableConfig(dir, "always", version), pool);
+        const size_t first = version == kWalVersionEdgeSetStamp ? 0 : 2;
+        for (size_t b = first; b < first + 2; ++b)
+            ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
+                      ErrorCode::kOk);
+        server.stop(); // crash: no shutdown checkpoint
+    }
+    BatchServer revived(durableConfig(dir), pool);
+    const RecoveryReport &rr = revived.recovery();
+    EXPECT_EQ(rr.replayedBatches, 4u);
+    EXPECT_EQ(rr.replayedV2Records, 2u);
+    EXPECT_EQ(rr.replayedV1Records, 2u);
+    EXPECT_EQ(snapshotChecksum(revived, 1, 915), want);
+    revived.stop();
+}
+
+TEST(ServerRecovery, FingerprintDivergenceRefusesStartup)
+{
+    ThreadPool pool(4);
+    const EdgeList edges = generateUniform(kN, 1 << 12, 26);
+    for (uint16_t version : kVersions) {
+        SCOPED_TRACE(version);
+        const fs::path dir =
+            freshDir("srv_diverge_v" + std::to_string(version));
+        if (version == kWalVersionSnapshotStamp) {
+            writeV1Log(dir, edges, 1, 2);
+        } else {
+            BatchServer server(durableConfig(dir), pool);
+            for (size_t b = 0; b < 2; ++b)
+                ASSERT_EQ(server.call(mutateRequest(edges, 1, b)).code,
+                          ErrorCode::kOk);
+            server.stop();
+        }
+        // Re-stamp the last record with a lying post-state stamp —
+        // CRC-valid, structurally perfect, semantically divergent.
+        // Replay must notice the replayed graph does not match the
+        // ack, whichever stamp the record carries.
+        WalReadResult rr;
+        ASSERT_TRUE(readWal(dir.string(), &rr).ok());
+        ASSERT_EQ(rr.records.size(), 2u);
+        ASSERT_EQ(rr.records[1].version, version);
+        WalRecord lying = rr.records[1];
+        lying.postFingerprint ^= 1;
+        const std::vector<uint8_t> b0 = encodeWalRecord(rr.records[0]);
+        const std::vector<uint8_t> b1 = encodeWalRecord(lying);
+        std::string bytes(b0.begin(), b0.end());
+        bytes.append(b1.begin(), b1.end());
+        spit(dir / walSegmentName(1), bytes);
+
+        try {
+            BatchServer revived(durableConfig(dir), pool);
+            FAIL() << "divergent replay must refuse startup";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::kDataLoss) << e.what();
+            EXPECT_NE(std::string(e.what()).find("refusing"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -11,7 +11,10 @@
  * the model's edge list. Compaction must resolve every tombstone
  * without changing the snapshot, and the PB-binned parallel apply
  * must be indistinguishable from the serial reference at every
- * thread count.
+ * thread count. The maintained edgeSetHash() must equal a from-scratch
+ * recompute over the model after every apply, rollback, compaction,
+ * copy, and CSR adoption, and snapshotFingerprint() must equal fnv1a()
+ * over the snapshot's degree words and neighbor array.
  *
  * Seed sweep: COBRA_MUTATION_SEED regenerates the op stream and
  * COBRA_MUTATION_HOST_THREADS adds that thread count to the
@@ -30,6 +33,8 @@
 #include "src/graph/builder.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/sim/phase_recorder.h"
+#include "src/util/fnv.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace cobra {
@@ -56,6 +61,17 @@ modelEdges(const Model &m)
     for (const auto &[s, d] : m)
         el.push_back(Edge{s, d});
     return el;
+}
+
+/** edgeSetHash() from scratch: the wrapping sum of
+ * mix64(src << 32 | dst) over the model's live edges. */
+uint64_t
+modelHash(const Model &m)
+{
+    uint64_t h = 0;
+    for (const auto &[s, d] : m)
+        h += mix64(uint64_t{s} << 32 | d);
+    return h;
 }
 
 /** Expected per-batch accounting from driving the model through the
@@ -130,6 +146,15 @@ expectMatchesModel(const DynamicGraph &g, const Model &m)
     const CsrGraph ref = buildSortedDedupRef(g.numNodes(), modelEdges(m));
     ASSERT_EQ(snap.offsetsArray(), ref.offsetsArray());
     ASSERT_EQ(snap.neighborsArray(), ref.neighborsArray());
+    ASSERT_EQ(g.edgeSetHash(), modelHash(m));
+    // The streamed fingerprint is the fnv1a() of the materialized word
+    // stream: degree sequence, then the neighbor array.
+    std::vector<uint32_t> w;
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        w.push_back(static_cast<uint32_t>(snap.degree(v)));
+    w.insert(w.end(), snap.neighborsArray().begin(),
+             snap.neighborsArray().end());
+    ASSERT_EQ(g.snapshotFingerprint(), fnv1a(w.data(), w.size()));
 }
 
 TEST(DynamicGraphProperty, RandomizedMutationsMatchSetModel)
@@ -218,6 +243,138 @@ TEST(DynamicGraphProperty, ParallelApplyEquivalentToSerial)
                 << threads << " threads, round " << round;
         }
     }
+}
+
+TEST(DynamicGraphProperty, EdgeSetHashMatchesRecomputeAcrossTransitions)
+{
+    const NodeId n = 512;
+    const size_t rounds = 30, opsPerBatch = 128;
+    const uint64_t seed = envOr("COBRA_MUTATION_SEED", 7);
+    std::vector<size_t> threadCounts = {1, 4};
+    if (const uint64_t t = envOr("COBRA_MUTATION_HOST_THREADS", 0))
+        threadCounts.push_back(static_cast<size_t>(t));
+    EXPECT_EQ(DynamicGraph(n).edgeSetHash(), 0u);
+
+    for (size_t threads : threadCounts) {
+        SCOPED_TRACE(threads);
+        std::mt19937_64 rng(seed);
+        ThreadPool pool(threads);
+        PhaseRecorder rec;
+
+        // Seeded constructor: the hash starts from the deduplicated
+        // base, computed from scratch.
+        EdgeList seeded;
+        Model model;
+        for (size_t i = 0; i < 2000; ++i) {
+            const Edge e{static_cast<NodeId>(rng() % n),
+                         static_cast<NodeId>(rng() % n)};
+            seeded.push_back(e);
+            model.insert({e.src, e.dst});
+        }
+        DynamicGraph g(n, seeded);
+        ASSERT_EQ(g.edgeSetHash(), modelHash(model));
+
+        for (size_t round = 0; round < rounds; ++round) {
+            SCOPED_TRACE(round);
+            const MutationBatch b = randomBatch(rng, model, n, opsPerBatch);
+            const Model before = model;
+            const uint64_t preHash = g.edgeSetHash();
+            applyToModel(model, b);
+            if (round % 2 == 0)
+                g.applyBatch(b);
+            else
+                g.applyBatchParallel(pool, rec, b, 64);
+            ASSERT_TRUE(g.health().ok()) << g.health().toString();
+            ASSERT_EQ(g.edgeSetHash(), modelHash(model));
+
+            if (round % 4 == 1) {
+                g.rollbackLastBatch();
+                model = before;
+                ASSERT_EQ(g.edgeSetHash(), preHash);
+                ASSERT_EQ(g.edgeSetHash(), modelHash(model));
+            }
+            if (round % 7 == 6) {
+                const uint64_t h = g.edgeSetHash();
+                ASSERT_TRUE(g.compact(pool, rec, 64).ok());
+                ASSERT_EQ(g.deltaEdges(), 0u);
+                ASSERT_EQ(g.edgeSetHash(), h);
+                ASSERT_EQ(g.edgeSetHash(), modelHash(model));
+            }
+            if (round % 5 == 4) {
+                const DynamicGraph copy(g);
+                ASSERT_EQ(copy.edgeSetHash(), modelHash(model));
+                const DynamicGraph adopted(g.snapshotCsr());
+                ASSERT_EQ(adopted.edgeSetHash(), modelHash(model));
+            }
+        }
+        expectMatchesModel(g, model);
+
+        // Deduped inserts and rejected deletes change no edge, so they
+        // leave the hash alone, on both apply paths.
+        MutationBatch noop;
+        size_t dups = 0, rejects = 0;
+        for (auto it = model.begin(); it != model.end() && dups < 32;
+             ++it, ++dups)
+            noop.insert(it->first, it->second);
+        while (rejects < 32) {
+            const NodeId s = static_cast<NodeId>(rng() % n);
+            const NodeId d = static_cast<NodeId>(rng() % n);
+            if (model.count({s, d}) == 0) {
+                noop.remove(s, d);
+                ++rejects;
+            }
+        }
+        const uint64_t h = g.edgeSetHash();
+        BatchResult r = g.applyBatch(noop);
+        EXPECT_EQ(r.deduped, dups);
+        EXPECT_EQ(r.rejected, rejects);
+        EXPECT_EQ(g.edgeSetHash(), h);
+        r = g.applyBatchParallel(pool, rec, noop, 64);
+        EXPECT_EQ(r.deduped, dups);
+        EXPECT_EQ(r.rejected, rejects);
+        EXPECT_EQ(g.edgeSetHash(), h);
+    }
+}
+
+// A copy shares the original's base CSR until either side compacts.
+// Batches and compactions on one side must never show on the other.
+TEST(DynamicGraph, CopiesStayIndependentAcrossCompaction)
+{
+    const NodeId n = 256;
+    std::mt19937_64 rng(envOr("COBRA_MUTATION_SEED", 7));
+    ThreadPool pool(2);
+    PhaseRecorder rec;
+    Model model;
+    EdgeList seeded;
+    for (size_t i = 0; i < 1000; ++i) {
+        const Edge e{static_cast<NodeId>(rng() % n),
+                     static_cast<NodeId>(rng() % n)};
+        seeded.push_back(e);
+        model.insert({e.src, e.dst});
+    }
+    DynamicGraph g(n, seeded);
+    const MutationBatch first = randomBatch(rng, model, n, 64);
+    applyToModel(model, first);
+    g.applyBatch(first);
+
+    DynamicGraph copy(g);
+    const Model copyModel = model;
+    for (int round = 0; round < 3; ++round) {
+        const MutationBatch b = randomBatch(rng, model, n, 64);
+        applyToModel(model, b);
+        g.applyBatchParallel(pool, rec, b, 16);
+    }
+    ASSERT_TRUE(g.compact(pool, rec, 16).ok());
+    expectMatchesModel(g, model);
+    expectMatchesModel(copy, copyModel);
+
+    Model copyAfter = copyModel;
+    const MutationBatch b = randomBatch(rng, copyAfter, n, 64);
+    applyToModel(copyAfter, b);
+    copy.applyBatch(b);
+    ASSERT_TRUE(copy.compact(pool, rec, 16).ok());
+    expectMatchesModel(copy, copyAfter);
+    expectMatchesModel(g, model);
 }
 
 TEST(DynamicGraph, SeedConstructorSortsAndDedups)

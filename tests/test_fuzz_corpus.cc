@@ -10,6 +10,8 @@
  * Status for arbitrary bytes — no crash, no hang, no sanitizer report.
  */
 
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -373,6 +375,65 @@ TEST(FuzzCorpus, WalValidSeedsStillDecode)
     EXPECT_EQ(rec.postLiveEdges, 12u);
     EXPECT_EQ(rec.payload.size(), 48u);
     EXPECT_EQ(consumed, raw.size());
+}
+
+// Version-2 records (stamped with DynamicGraph::edgeSetHash()) decode
+// beside version 1, alone and in a stream that switches versions.
+TEST(FuzzCorpus, WalV2SeedsDecode)
+{
+    const std::string one =
+        slurp(corpusDir() / "wal" / "valid_v2_record.bin");
+    WalRecord rec;
+    size_t consumed = 0;
+    ASSERT_TRUE(decodeWalRecord(
+                    reinterpret_cast<const uint8_t *>(one.data()),
+                    one.size(), &rec, &consumed)
+                    .ok());
+    EXPECT_EQ(rec.version, kWalVersionEdgeSetStamp);
+    EXPECT_EQ(rec.lsn, 1u);
+    EXPECT_EQ(rec.postLiveEdges, 12u);
+    EXPECT_EQ(rec.payload.size(), 48u);
+    EXPECT_EQ(consumed, one.size());
+
+    const std::string two =
+        slurp(corpusDir() / "wal" / "stream_v1_then_v2.bin");
+    const uint8_t *data = reinterpret_cast<const uint8_t *>(two.data());
+    size_t off = 0;
+    for (uint16_t version :
+         {kWalVersionSnapshotStamp, kWalVersionEdgeSetStamp}) {
+        SCOPED_TRACE(version);
+        ASSERT_TRUE(decodeWalRecord(data + off, two.size() - off, &rec,
+                                    &consumed)
+                        .ok());
+        EXPECT_EQ(rec.version, version);
+        EXPECT_EQ(rec.lsn, version); // lsn 1 is v1, lsn 2 is v2
+        off += consumed;
+    }
+    EXPECT_EQ(off, two.size());
+}
+
+// The reader's torn-tail scan must recognise a v2 header as a record
+// start: a v2 record cut short at the end of the final segment is a
+// torn tail (survivable), not corruption.
+TEST(FuzzCorpus, WalTornV2TailIsTornNotCorrupt)
+{
+    const std::string raw = slurp(corpusDir() / "wal" / "torn_v2_tail.bin");
+    const fs::path dir = fs::temp_directory_path() /
+                         ("cobra_fuzz_corpus_torn_v2_" +
+                          std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+        std::ofstream os(dir / walSegmentName(1), std::ios::binary);
+        os.write(raw.data(), static_cast<std::streamsize>(raw.size()));
+    }
+    WalReadResult rr;
+    const Status s = readWal(dir.string(), &rr);
+    fs::remove_all(dir);
+    ASSERT_TRUE(s.ok()) << s.toString();
+    ASSERT_EQ(rr.records.size(), 1u);
+    EXPECT_EQ(rr.records[0].version, kWalVersionEdgeSetStamp);
+    EXPECT_EQ(rr.tornTailBytes, raw.size() - (kWalHeaderBytes + 48));
 }
 
 TEST(FuzzCorpus, WalMalformedSeedsAreRejected)

@@ -11,6 +11,7 @@
 
 #include "src/util/aligned_array.h"
 #include "src/util/bitops.h"
+#include "src/util/fnv.h"
 #include "src/util/histogram.h"
 #include "src/util/prefix_sum.h"
 #include "src/util/rng.h"
@@ -84,6 +85,30 @@ TEST(PrefixSum, InclusiveInPlace)
     std::vector<int> v{1, 2, 3};
     inclusivePrefixSumInPlace(v);
     EXPECT_EQ(v, (std::vector<int>{1, 3, 6}));
+}
+
+TEST(Rng, SplitMix64MatchesTheReferenceStream)
+{
+    // The published SplitMix64 output for seed 0; mix64 is its
+    // finalizer (and DynamicGraph's per-edge mix), so this pins both.
+    SplitMix64 sm(0);
+    EXPECT_EQ(sm.next(), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(mix64(0x9e3779b97f4a7c15ULL), 0xe220a8397b1dcdafULL);
+}
+
+TEST(Fnv, ByteWiseFnv1aStreamsInPieces)
+{
+    // "abcdefgh" as two little-endian words: fnv1a() is the standard
+    // byte-wise 64-bit FNV-1a of those eight bytes.
+    const uint32_t words[] = {0x64636261u, 0x68676665u};
+    EXPECT_EQ(fnv1a(words, 0), 1469598103934665603ULL);
+    EXPECT_EQ(fnv1a(words, 2), 0xd95aec8148a44733ULL);
+    Fnv1a h;
+    EXPECT_EQ(h.value(), fnv1a(words, 0));
+    h.add(words[0]);
+    EXPECT_EQ(h.value(), fnv1a(words, 1));
+    h.add(words[1]);
+    EXPECT_EQ(h.value(), fnv1a(words, 2));
 }
 
 TEST(Rng, Deterministic)
