@@ -43,6 +43,13 @@
 # dispatcher threads, so run it under both --sanitize and --tsan after
 # touching src/durability/ or the server's commit path. The
 # out-of-process durability gate is scripts/soak.sh --crash.
+# After touching src/server/frame.cc, wire_socket.cc or client.cc, run
+# both of these and keep them green (portable and AVX2 passes):
+#   scripts/tier1.sh --sanitize --labels server
+#   scripts/tier1.sh --tsan --labels server
+# The socket reader writes a payload straight into storage sized from
+# an untrusted header (ASan/UBSan's beat), and the acceptor joins
+# finished connection threads while they exit (TSan's).
 # All ride in every plain and sanitizer pass too — the labels are a
 # focus knob, not an opt-in.
 #

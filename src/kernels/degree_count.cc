@@ -1,7 +1,6 @@
 #include "src/kernels/degree_count.h"
 
 #include "src/core/ccache.h"
-#include "src/graph/builder.h"
 #include "src/kernels/pipelines.h"
 #include "src/pb/auto_tune.h"
 #include "src/pb/parallel_pb.h"
@@ -19,10 +18,13 @@ addCounts(uint32_t &dst, const uint32_t &src)
 } // namespace
 
 DegreeCountKernel::DegreeCountKernel(NodeId num_nodes, const EdgeList *el)
-    : nodes(num_nodes), edges(el), deg(num_nodes, 0)
+    : nodes(num_nodes), edges(el), deg(num_nodes, 0), ref(num_nodes, 0)
 {
-    auto r = countDegreesRef(num_nodes, *el);
-    ref.assign(r.begin(), r.end());
+    // The certification reference is countDegreesRef() counted straight
+    // into 32-bit words: the same values, without a 64-bit vector twice
+    // the size to build and then narrow.
+    for (const Edge &e : *el)
+        ++ref[e.src];
 }
 
 void

@@ -1,5 +1,6 @@
 #include "src/server/client.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -36,7 +37,8 @@ class Fd
 } // namespace
 
 Status
-ServerClient::callOnce(const std::vector<uint8_t> &encoded,
+ServerClient::callOnce(std::span<const uint8_t> header,
+                       std::span<const uint8_t> payload,
                        ResponseFrame *out)
 {
     sockaddr_un addr;
@@ -69,8 +71,7 @@ ServerClient::callOnce(const std::vector<uint8_t> &encoded,
                       "connect '" + cfg_.socketPath +
                           "': " + std::strerror(errno));
 
-    if (Status s = writeFrame(fd.get(), encoded.data(), encoded.size());
-        !s.ok())
+    if (Status s = writeFrame(fd.get(), {header, payload}); !s.ok())
         return s;
 
     std::vector<uint8_t> buf;
@@ -93,7 +94,18 @@ ServerClient::callOnce(const std::vector<uint8_t> &encoded,
 Status
 ServerClient::call(const RequestFrame &req, ResponseFrame *out)
 {
-    const std::vector<uint8_t> encoded = encodeRequest(req); // validates
+    // Only the header is encoded; the payload goes to the socket from
+    // req.payload itself, whose bytes are already the wire's on a
+    // little-endian host. A big-endian host sends a converted copy.
+    const auto header = encodeRequestHeader(req); // validates
+    std::span<const uint8_t> payload(
+        reinterpret_cast<const uint8_t *>(req.payload.data()),
+        req.payload.size() * 4);
+    std::vector<uint8_t> wire;
+    if constexpr (std::endian::native != std::endian::little) {
+        wire = encodeRequest(req);
+        payload = std::span<const uint8_t>(wire).subspan(header.size());
+    }
     // Jitter decorrelates concurrent rejected clients; seeding from
     // the request id keeps a single client's schedule reproducible.
     Rng rng(cfg_.retry.seed ^ req.requestId);
@@ -101,7 +113,7 @@ ServerClient::call(const RequestFrame &req, ResponseFrame *out)
     Status last = Status::Ok();
     for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
         last_attempts_ = attempt;
-        Status s = callOnce(encoded, out);
+        Status s = callOnce(header, payload, out);
         if (s.ok() && out->code != ErrorCode::kUnavailable)
             return Status::Ok(); // a definitive answer, even a failure
         // Retryable: an explicit kUnavailable response, or any

@@ -3,7 +3,9 @@
  * ServerClient: the calling side of the batch protocol.
  *
  * One call() = connect, send one request frame, wait for one response
- * frame — with the three behaviours a client of an overloadable
+ * frame. The frame goes out as its encoded header plus the payload
+ * straight from RequestFrame::payload: gather writes, no frame image.
+ * The call has the three behaviours a client of an overloadable
  * service must have:
  *
  *  - a socket timeout (SO_RCVTIMEO/SO_SNDTIMEO), so a hung server
@@ -24,6 +26,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "src/resilience/retry_policy.h"
@@ -62,8 +65,8 @@ class ServerClient
     uint32_t lastAttempts() const { return last_attempts_; }
 
   private:
-    Status callOnce(const std::vector<uint8_t> &encoded,
-                    ResponseFrame *out);
+    Status callOnce(std::span<const uint8_t> header,
+                    std::span<const uint8_t> payload, ResponseFrame *out);
 
     ClientConfig cfg_;
     uint32_t last_attempts_ = 0;

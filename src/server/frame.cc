@@ -1,5 +1,6 @@
 #include "src/server/frame.h"
 
+#include <bit>
 #include <cstring>
 
 #include "src/check/fault_injector.h"
@@ -9,16 +10,19 @@ namespace cobra {
 
 namespace {
 
-/** Little-endian byte-at-a-time writer (alignment/endian agnostic). */
+/**
+ * Little-endian byte-at-a-time writer into storage the caller sized
+ * (alignment/endian agnostic).
+ */
 class ByteWriter
 {
   public:
-    explicit ByteWriter(std::vector<uint8_t> &buf) : buf_(buf) {}
+    explicit ByteWriter(uint8_t *p) : p_(p) {}
 
     void
     u8(uint8_t v)
     {
-        buf_.push_back(v);
+        *p_++ = v;
     }
 
     void
@@ -43,7 +47,7 @@ class ByteWriter
     }
 
   private:
-    std::vector<uint8_t> &buf_;
+    uint8_t *p_;
 };
 
 /**
@@ -213,16 +217,15 @@ encodedRequestBytes(const RequestFrame &req)
     return kRequestHeaderBytes + uint64_t{req.payload.size()} * 4;
 }
 
-std::vector<uint8_t>
-encodeRequest(const RequestFrame &req)
+std::array<uint8_t, kRequestHeaderBytes>
+encodeRequestHeader(const RequestFrame &req)
 {
     if (Status s = validateRequest(req); !s.ok())
         throw Error(ErrorCode::kInvalidArgument,
                     "refusing to encode an invalid request: " +
                         s.message());
-    std::vector<uint8_t> buf;
-    buf.reserve(encodedRequestBytes(req));
-    ByteWriter w(buf);
+    std::array<uint8_t, kRequestHeaderBytes> header;
+    ByteWriter w(header.data());
     w.u32(kRequestMagic);
     w.u16(kWireVersion);
     w.u16(0);
@@ -240,24 +243,41 @@ encodeRequest(const RequestFrame &req)
     w.u64(req.injectSeed);
     w.u64(req.numIndices);
     w.u64(req.payload.size());
-    for (uint32_t v : req.payload)
-        w.u32(v);
+    return header;
+}
+
+std::vector<uint8_t>
+encodeRequest(const RequestFrame &req)
+{
+    const auto header = encodeRequestHeader(req); // validates
+    std::vector<uint8_t> buf(encodedRequestBytes(req));
+    std::memcpy(buf.data(), header.data(), header.size());
+    uint8_t *body = buf.data() + kRequestHeaderBytes;
+    if constexpr (std::endian::native == std::endian::little) {
+        if (!req.payload.empty())
+            std::memcpy(body, req.payload.data(), req.payload.size() * 4);
+    } else {
+        ByteWriter w(body);
+        for (uint32_t v : req.payload)
+            w.u32(v);
+    }
     return buf;
 }
 
 Status
-decodeRequest(const uint8_t *data, size_t len, RequestFrame *out)
+decodeRequestHeader(const uint8_t *header, uint64_t frame_len,
+                    RequestFrame *out)
 {
-    if (len > kMaxFrameBytes)
-        return malformed("frame of " + std::to_string(len) +
+    if (frame_len > kMaxFrameBytes)
+        return malformed("frame of " + std::to_string(frame_len) +
                          " bytes exceeds the cap of " +
                          std::to_string(kMaxFrameBytes));
-    if (len < kRequestHeaderBytes)
-        return malformed("request of " + std::to_string(len) +
+    if (frame_len < kRequestHeaderBytes)
+        return malformed("request of " + std::to_string(frame_len) +
                          " bytes is shorter than the " +
                          std::to_string(kRequestHeaderBytes) +
                          "-byte header");
-    ByteReader r(data, len);
+    ByteReader r(header, kRequestHeaderBytes);
     if (r.u32() != kRequestMagic)
         return malformed("bad request magic");
     if (uint16_t v = r.u16(); v != kWireVersion)
@@ -290,23 +310,52 @@ decodeRequest(const uint8_t *data, size_t len, RequestFrame *out)
     // Length cross-check before the payload is even touched: the
     // claimed word count must both fit the cap and exactly account for
     // the bytes that follow (4 * words cannot overflow after the cap
-    // check — kMaxPayloadWords * 4 < 2^63).
+    // check — kMaxPayloadWords * 4 < 2^63). Only then may it size the
+    // payload storage the body is read into.
     if (payload_words > kMaxPayloadWords)
         return malformed("claimed payload of " +
                          std::to_string(payload_words) +
                          " words exceeds the frame cap");
     const uint64_t expect = kRequestHeaderBytes + payload_words * 4;
-    if (uint64_t{len} != expect)
-        return malformed("frame length " + std::to_string(len) +
+    if (frame_len != expect)
+        return malformed("frame length " + std::to_string(frame_len) +
                          " does not match header + payload (" +
                          std::to_string(expect) + ")");
     req.payload.resize(static_cast<size_t>(payload_words));
-    for (uint64_t i = 0; i < payload_words; ++i)
-        req.payload[static_cast<size_t>(i)] = r.u32();
-    if (!r.ok() || r.remaining() != 0)
-        return malformed("truncated or over-long request body");
+    *out = std::move(req);
+    return Status::Ok();
+}
 
-    if (Status s = validateRequest(req); !s.ok())
+Status
+decodeRequestBody(RequestFrame *req)
+{
+    if constexpr (std::endian::native != std::endian::little) {
+        // The storage holds the wire's little-endian bytes; each word
+        // is read whole before it is overwritten, so in place is safe.
+        for (uint32_t &w : req->payload) {
+            uint8_t b[4];
+            std::memcpy(b, &w, 4);
+            ByteReader r(b, 4);
+            w = r.u32();
+        }
+    }
+    return validateRequest(*req);
+}
+
+Status
+decodeRequest(const uint8_t *data, size_t len, RequestFrame *out)
+{
+    // decodeRequestHeader rejects a frame shorter than the header
+    // before it reads a byte of it.
+    RequestFrame req;
+    if (Status s = decodeRequestHeader(data, len, &req); !s.ok())
+        return s;
+    // The header's length cross-check sized the payload to exactly the
+    // bytes that follow it.
+    if (!req.payload.empty())
+        std::memcpy(req.payload.data(), data + kRequestHeaderBytes,
+                    len - kRequestHeaderBytes);
+    if (Status s = decodeRequestBody(&req); !s.ok())
         return s;
     *out = std::move(req);
     return Status::Ok();
@@ -318,9 +367,8 @@ encodeResponse(const ResponseFrame &resp)
     std::string msg = resp.message;
     if (msg.size() > kMaxMsgBytes)
         msg.resize(kMaxMsgBytes);
-    std::vector<uint8_t> buf;
-    buf.reserve(kResponseHeaderBytes + msg.size());
-    ByteWriter w(buf);
+    std::vector<uint8_t> buf(kResponseHeaderBytes + msg.size());
+    ByteWriter w(buf.data());
     w.u32(kResponseMagic);
     w.u16(kWireVersion);
     w.u16(0);

@@ -18,8 +18,11 @@
  * holds the decoder to that contract.
  *
  * Layout notes: all integers are little-endian, fixed-width, at fixed
- * offsets (no varints), serialized byte-by-byte so the encoder/decoder
- * pair is endian- and alignment-agnostic. ErrorCode and PbEngineKind
+ * offsets (no varints). Header fields are serialized byte by byte, so
+ * the codec is endian- and alignment-agnostic; the payload's words are
+ * already in wire order on a little-endian host and move with one
+ * memcpy (or one read/gather write on the socket), with a per-word
+ * loop as the big-endian fallback. ErrorCode and PbEngineKind
  * raw values ride the wire; both ends must be built from the same
  * source revision, which is the deployment model for a localhost batch
  * sidecar (the version field exists to reject anything else loudly).
@@ -28,6 +31,7 @@
 #ifndef COBRA_SERVER_FRAME_H
 #define COBRA_SERVER_FRAME_H
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -194,6 +198,15 @@ Status validateRequest(const RequestFrame &req);
 uint64_t encodedRequestBytes(const RequestFrame &req);
 
 /**
+ * Serialize @p req's fixed header; the payload's words follow it on
+ * the wire as little-endian bytes. Validates @p req first and throws
+ * like encodeRequest(). Lets a sender write the payload from
+ * req.payload itself instead of copying it into a frame image.
+ */
+std::array<uint8_t, kRequestHeaderBytes>
+encodeRequestHeader(const RequestFrame &req);
+
+/**
  * Serialize @p req. Throws Error(kInvalidArgument) when the frame
  * fails validateRequest() — an encoder must never emit a frame its
  * own decoder would reject.
@@ -201,7 +214,30 @@ uint64_t encodedRequestBytes(const RequestFrame &req);
 std::vector<uint8_t> encodeRequest(const RequestFrame &req);
 
 /**
- * Parse and fully validate a request frame. Never throws; on any
+ * First half of a split decode, for readers that take the payload
+ * straight off a socket: parse the header of a frame whose total
+ * length (header + payload) is @p frame_len. Checks the frame cap,
+ * magic, version, reserved field, flag bits, op id, the payload cap
+ * and the length cross-check. On success @p out holds every header
+ * field and out->payload is sized to the claimed word count, ready for
+ * the payload's wire bytes; then call decodeRequestBody(). @p header
+ * must hold kRequestHeaderBytes bytes unless @p frame_len is shorter,
+ * in which case nothing is read and the frame is rejected. Never
+ * throws.
+ */
+Status decodeRequestHeader(const uint8_t *header, uint64_t frame_len,
+                           RequestFrame *out);
+
+/**
+ * Second half of a split decode: out->payload's storage holds the
+ * payload's wire bytes. Brings the words to host order (nothing to do
+ * on a little-endian host) and runs validateRequest().
+ */
+Status decodeRequestBody(RequestFrame *req);
+
+/**
+ * Parse and fully validate a request frame: decodeRequestHeader(),
+ * one copy of the payload, decodeRequestBody(). Never throws; on any
  * violation returns a typed Status and leaves @p out unspecified.
  */
 Status decodeRequest(const uint8_t *data, size_t len, RequestFrame *out);

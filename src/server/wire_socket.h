@@ -8,7 +8,11 @@
  * ResponseFrame). The reader enforces kMaxFrameBytes *before*
  * allocating — a hostile 4 GiB length prefix costs the server a
  * comparison, not an allocation — and handles short reads and EINTR
- * the way any blocking-socket loop must.
+ * the way any blocking-socket loop must. Writers send a frame's parts
+ * with gather writes, so a request's payload goes to the socket from
+ * RequestFrame::payload itself; the server reads the header into a
+ * stack buffer and the payload straight into the RequestFrame it
+ * submits. Each side copies the payload once.
  *
  * Transport errors are kIoError (the peer is gone; nothing to
  * answer); a frame that arrives intact but fails to decode gets a
@@ -16,7 +20,9 @@
  * that sent garbage is exactly the client that needs to hear why.
  *
  * The SocketServer itself is a thin adapter: one accept loop, one
- * thread per connection (bounded), each connection a sequential
+ * thread per connection (finished ones are joined at the next accept,
+ * so a long run of short connections holds no dead threads), each
+ * connection a sequential
  * read-request / write-response loop delegating every decision to
  * BatchServer::submit(). All admission, fairness, and deadline logic
  * lives behind that call — the transport adds nothing but bytes.
@@ -27,7 +33,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <list>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +50,10 @@ class BatchServer;
 /** Read exactly @p len bytes (loops over short reads / EINTR). */
 Status readExact(int fd, void *buf, size_t len);
 
-/** Write all @p len bytes (loops over short writes / EINTR). */
+/**
+ * Write all @p len bytes (loops over short writes / EINTR). A peer
+ * that has gone away is a kIoError (EPIPE), never a SIGPIPE.
+ */
 Status writeAll(int fd, const void *buf, size_t len);
 
 /**
@@ -52,6 +64,14 @@ Status writeAll(int fd, const void *buf, size_t len);
  * @p out — the peer simply finished.
  */
 Status readFrame(int fd, std::vector<uint8_t> *out);
+
+/**
+ * Write one length-prefixed frame whose body is @p parts back to back,
+ * with gather writes (looping over short writes / EINTR): no frame
+ * image is built.
+ */
+Status writeFrame(int fd,
+                  std::initializer_list<std::span<const uint8_t>> parts);
 
 /** Write one length-prefixed frame. */
 Status writeFrame(int fd, const uint8_t *data, size_t len);
@@ -78,7 +98,16 @@ class SocketServer
 
     const std::string &path() const { return path_; }
 
+    /** Connection threads not yet joined, finished or not. */
+    size_t trackedConnections() const;
+
   private:
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false}; ///< set as the thread's last act
+    };
+
     void acceptLoop();
     void serveConnection(int fd);
 
@@ -89,8 +118,9 @@ class SocketServer
     std::thread acceptor_;
     std::atomic<bool> stopping_{false};
 
-    std::mutex conn_mtx_;
-    std::vector<std::thread> conns_;
+    mutable std::mutex conn_mtx_;
+    /** A list, so a running thread's Connection never moves. */
+    std::list<Connection> conns_;
 };
 
 } // namespace cobra

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -159,9 +160,24 @@ TEST(FuzzCorpus, GraphValidSeedsStillLoad)
     EXPECT_EQ(n, 3u);
 }
 
+/** The socket reader's split decode, as fuzz_frame.cc runs it. */
+Status
+splitDecode(const uint8_t *data, size_t len, RequestFrame *out)
+{
+    uint8_t header[kRequestHeaderBytes] = {};
+    const size_t head = std::min(len, sizeof(header));
+    std::memcpy(header, data, head);
+    if (Status s = decodeRequestHeader(header, len, out); !s.ok())
+        return s;
+    if (len > head)
+        std::memcpy(out->payload.data(), data + head, len - head);
+    return decodeRequestBody(out);
+}
+
 // The frame corpus runs through the wire decoders exactly as
 // fuzz_frame.cc does: byte 0 selects the decoder, the rest is the
-// frame; whatever decodes must re-encode and decode again losslessly.
+// frame; whatever decodes must re-encode and decode again losslessly,
+// and the split decode must agree with the whole-frame one.
 TEST(FuzzCorpus, FrameReplayNeverCrashes)
 {
     for (const fs::path &p : corpusFiles("frame")) {
@@ -180,6 +196,14 @@ TEST(FuzzCorpus, FrameReplayNeverCrashes)
                 EXPECT_TRUE(
                     decodeResponse(buf.data(), buf.size(), &again).ok());
             }
+        } else if (raw[0] & 2) {
+            RequestFrame split, whole;
+            const Status s = splitDecode(body, len, &split);
+            const Status w = decodeRequest(body, len, &whole);
+            EXPECT_EQ(s.code(), w.code()) << s.message() << " / "
+                                          << w.message();
+            if (s.ok() && w.ok())
+                EXPECT_EQ(encodeRequest(split), encodeRequest(whole));
         } else {
             RequestFrame req;
             if (decodeRequest(body, len, &req).ok()) {
@@ -189,6 +213,37 @@ TEST(FuzzCorpus, FrameReplayNeverCrashes)
                     decodeRequest(buf.data(), buf.size(), &again).ok());
             }
         }
+    }
+}
+
+// The split-decode seeds (selector 2): a valid frame is accepted; a
+// valid header over a body shorter than it claims, and a header that
+// claims one word past kMaxPayloadWords, are refused at the header,
+// before any payload storage is sized.
+TEST(FuzzCorpus, FrameSplitDecodeSeeds)
+{
+    struct Case
+    {
+        const char *file;
+        ErrorCode code;
+    };
+    for (const Case &c :
+         {Case{"split_valid_request.bin", ErrorCode::kOk},
+          Case{"split_short_body.bin", ErrorCode::kCorruptFile},
+          Case{"split_over_cap_words.bin", ErrorCode::kCorruptFile}}) {
+        SCOPED_TRACE(c.file);
+        const std::string raw = slurp(corpusDir() / "frame" / c.file);
+        ASSERT_GT(raw.size(), 1u);
+        ASSERT_EQ(raw[0], 2);
+        const uint8_t *body =
+            reinterpret_cast<const uint8_t *>(raw.data()) + 1;
+        const size_t len = raw.size() - 1;
+        RequestFrame header_only;
+        const Status h = decodeRequestHeader(body, len, &header_only);
+        EXPECT_EQ(h.code(), c.code) << h.message();
+        RequestFrame split, whole;
+        EXPECT_EQ(splitDecode(body, len, &split).code(), c.code);
+        EXPECT_EQ(decodeRequest(body, len, &whole).code(), c.code);
     }
 }
 

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -252,6 +253,94 @@ TEST(Frame, EncodeRefusesInvalidRequest)
     RequestFrame bad = makeRequest(1, 1, 8, 16);
     bad.bins = 3;
     EXPECT_THROW(encodeRequest(bad), Error);
+    EXPECT_THROW(encodeRequestHeader(bad), Error);
+}
+
+// The wire bytes of one fixed request, written out by hand from the
+// layout: a codec change that moves a byte (or swaps a word's byte
+// order on the payload's memcpy path) fails here, whatever the round
+// trip says.
+TEST(Frame, EncodeMatchesGoldenBytesAndSplitHeader)
+{
+    RequestFrame req;
+    req.tenantId = 0x0102030405060708ull;
+    req.requestId = 0x1112131415161718ull;
+    req.kernel = ServerKernel::kDegreeCount;
+    req.engine = PbEngineKind::kWriteCombine;
+    req.skewAdaptive = true;
+    req.bins = 256;
+    req.wcLines = 2;
+    req.deadlineMs = 1500;
+    req.injectFireAt = 3;
+    req.injectSeed = 0x2122232425262728ull;
+    req.numIndices = 0x10000;
+    req.payload = {0xfedc, 0x1234, 0xffff, 0x0001};
+
+    const std::vector<uint8_t> golden = {
+        0x43, 0x42, 0x52, 0x51,                         // magic "CBRQ"
+        0x01, 0x00, 0x00, 0x00,                         // version, rsvd
+        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // tenant
+        0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // request id
+        0x01, 0x01, 0x01, 0x00, // kernel, engine, flags, op
+        0x00, 0x01, 0x00, 0x00, // bins
+        0x02, 0x00, 0x00, 0x00, // wcLines
+        0xdc, 0x05, 0x00, 0x00, // deadlineMs
+        0x00, 0x00, 0x00, 0x00, // injectSite
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // injectFireAt
+        0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21, // injectSeed
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, // numIndices
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload words
+        0xdc, 0xfe, 0x00, 0x00, 0x34, 0x12, 0x00, 0x00, // payload
+        0xff, 0xff, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    };
+    ASSERT_EQ(golden.size(), kRequestHeaderBytes + 16);
+    EXPECT_EQ(encodeRequest(req), golden);
+
+    const auto header = encodeRequestHeader(req);
+    std::vector<uint8_t> split(header.begin(), header.end());
+    for (uint32_t w : req.payload)
+        for (int b = 0; b < 4; ++b)
+            split.push_back(static_cast<uint8_t>(w >> (8 * b)));
+    EXPECT_EQ(split, golden);
+
+    // The split decode the socket reader does: header, then the
+    // payload's bytes straight into the storage the header sized.
+    RequestFrame got;
+    ASSERT_TRUE(decodeRequestHeader(golden.data(), golden.size(), &got).ok());
+    ASSERT_EQ(got.payload.size(), req.payload.size());
+    std::memcpy(got.payload.data(), golden.data() + kRequestHeaderBytes,
+                golden.size() - kRequestHeaderBytes);
+    ASSERT_TRUE(decodeRequestBody(&got).ok());
+    EXPECT_EQ(got.payload, req.payload);
+    EXPECT_EQ(got.injectSeed, req.injectSeed);
+}
+
+// The header decoder sizes payload storage from an untrusted word
+// count, so it must refuse an over-cap or inconsistent claim before it
+// allocates anything.
+TEST(Frame, HeaderDecodeRefusesLyingLengthsBeforeSizing)
+{
+    const RequestFrame req = makeRequest(1, 1, 8, 16);
+    const std::vector<uint8_t> buf = encodeRequest(req);
+    RequestFrame out;
+    EXPECT_FALSE(decodeRequestHeader(buf.data(), buf.size() - 1, &out).ok())
+        << "frame one byte short of its payload";
+    EXPECT_FALSE(decodeRequestHeader(buf.data(), buf.size() + 4, &out).ok())
+        << "frame one word longer than its payload";
+    EXPECT_FALSE(
+        decodeRequestHeader(buf.data(), kMaxFrameBytes + 1, &out).ok())
+        << "frame over the cap";
+    EXPECT_FALSE(decodeRequestHeader(buf.data(), 10, &out).ok())
+        << "frame shorter than the header";
+
+    std::vector<uint8_t> lying = buf;
+    const uint64_t words = kMaxPayloadWords + 1;
+    for (int b = 0; b < 8; ++b)
+        lying[68 + b] = static_cast<uint8_t>(words >> (8 * b));
+    const Status s = decodeRequestHeader(
+        lying.data(), kRequestHeaderBytes + words * 4, &out);
+    EXPECT_EQ(s.code(), ErrorCode::kCorruptFile) << s.message();
+    EXPECT_TRUE(out.payload.empty());
 }
 
 // ------------------------------------------------------------ admission
@@ -702,6 +791,49 @@ testSocketPath(const char *tag)
            ".sock";
 }
 
+/** A raw client connection to @p path, or -1. */
+int
+connectRaw(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read one response off @p fd; its code, or kIoError if none came. */
+ErrorCode
+readResponseCode(int fd)
+{
+    std::vector<uint8_t> buf;
+    ResponseFrame resp;
+    if (!readFrame(fd, &buf).ok() || buf.empty() ||
+        !decodeResponse(buf.data(), buf.size(), &resp).ok())
+        return ErrorCode::kIoError;
+    return resp.code;
+}
+
+/** One ServerClient call of a small valid request; its response code. */
+ErrorCode
+callOnce(const std::string &path, uint64_t id)
+{
+    ClientConfig ccfg;
+    ccfg.socketPath = path;
+    ServerClient c(ccfg);
+    ResponseFrame resp;
+    if (!c.call(makeRequest(1, id, 8, 16), &resp).ok())
+        return ErrorCode::kIoError;
+    return resp.code;
+}
+
 TEST(SocketServer, EndToEndConcurrentClients)
 {
     ThreadPool pool(4);
@@ -742,15 +874,8 @@ TEST(SocketServer, MalformedFrameGetsTypedErrorResponse)
     SocketServer sock(server, testSocketPath("mal"));
     ASSERT_TRUE(sock.start().ok());
 
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connectRaw(sock.path());
     ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                  sock.path().c_str());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
 
     // A well-framed message whose body is garbage: the server must
     // answer with a typed error response, not drop the connection.
@@ -766,6 +891,143 @@ TEST(SocketServer, MalformedFrameGetsTypedErrorResponse)
 
     sock.stop();
     server.stop();
+}
+
+// A frame refused at its header is drained, not trusted: the server
+// answers the typed error after reading exactly the bytes the length
+// prefix announced, and the next frame on the same connection is
+// served.
+TEST(SocketServer, HeaderRejectDrainsBodyAndKeepsConnectionFramed)
+{
+    ThreadPool pool(2);
+    BatchServer server(ServerConfig{}, pool);
+    SocketServer sock(server, testSocketPath("drain"));
+    ASSERT_TRUE(sock.start().ok());
+    const int fd = connectRaw(sock.path());
+    ASSERT_GE(fd, 0);
+
+    std::vector<uint8_t> bad = encodeRequest(makeRequest(1, 1, 8, 16));
+    bad.resize(kRequestHeaderBytes);
+    bad[0] ^= 0xff; // bad magic
+    const std::vector<uint8_t> body(1u << 20, 0x5a);
+    ASSERT_TRUE(writeFrame(fd, {bad, body}).ok());
+    EXPECT_EQ(readResponseCode(fd), ErrorCode::kCorruptFile);
+
+    const std::vector<uint8_t> good =
+        encodeRequest(makeRequest(1, 2, 8, 16));
+    ASSERT_TRUE(writeFrame(fd, good.data(), good.size()).ok());
+    EXPECT_EQ(readResponseCode(fd), ErrorCode::kOk);
+    ::close(fd);
+
+    sock.stop();
+    server.stop();
+    EXPECT_TRUE(server.stats().conserved());
+}
+
+// A peer that hangs up halfway through a payload gets no answer (there
+// is nothing whole to answer), and the server keeps serving.
+TEST(SocketServer, PeerClosingMidPayloadGetsNoAnswer)
+{
+    ThreadPool pool(2);
+    BatchServer server(ServerConfig{}, pool);
+    SocketServer sock(server, testSocketPath("midpay"));
+    ASSERT_TRUE(sock.start().ok());
+    const int fd = connectRaw(sock.path());
+    ASSERT_GE(fd, 0);
+
+    const std::vector<uint8_t> frame =
+        encodeRequest(makeRequest(1, 1, 4096, 2048));
+    const uint32_t len = static_cast<uint32_t>(frame.size());
+    const uint8_t prefix[4] = {
+        static_cast<uint8_t>(len), static_cast<uint8_t>(len >> 8),
+        static_cast<uint8_t>(len >> 16), static_cast<uint8_t>(len >> 24)};
+    ASSERT_TRUE(writeAll(fd, prefix, sizeof(prefix)).ok());
+    ASSERT_TRUE(writeAll(fd, frame.data(), frame.size() / 2).ok());
+    ::shutdown(fd, SHUT_WR);
+    std::vector<uint8_t> buf;
+    EXPECT_TRUE(readFrame(fd, &buf).ok());
+    EXPECT_TRUE(buf.empty()) << "the server answered a torn frame";
+    ::close(fd);
+
+    EXPECT_EQ(callOnce(sock.path(), 2), ErrorCode::kOk);
+    sock.stop();
+    server.stop();
+}
+
+// An over-cap length prefix leaves nothing to drain by (the stream is
+// unsynchronized), so the server closes that connection unanswered,
+// and only that one.
+TEST(SocketServer, OverCapLengthClosesConnection)
+{
+    ThreadPool pool(2);
+    BatchServer server(ServerConfig{}, pool);
+    SocketServer sock(server, testSocketPath("overcap"));
+    ASSERT_TRUE(sock.start().ok());
+    const int fd = connectRaw(sock.path());
+    ASSERT_GE(fd, 0);
+
+    const uint32_t len = static_cast<uint32_t>(kMaxFrameBytes + 1);
+    const uint8_t prefix[4] = {
+        static_cast<uint8_t>(len), static_cast<uint8_t>(len >> 8),
+        static_cast<uint8_t>(len >> 16), static_cast<uint8_t>(len >> 24)};
+    ASSERT_TRUE(writeAll(fd, prefix, sizeof(prefix)).ok());
+    std::vector<uint8_t> buf;
+    EXPECT_TRUE(readFrame(fd, &buf).ok());
+    EXPECT_TRUE(buf.empty()) << "the server answered an over-cap frame";
+    ::close(fd);
+
+    EXPECT_EQ(callOnce(sock.path(), 2), ErrorCode::kOk);
+    sock.stop();
+    server.stop();
+}
+
+// A payload far larger than the socket buffer crosses in many partial
+// gather writes on the client and partial reads into the request's
+// payload on the server, and still comes out bit-identical: the served
+// checksum equals the in-process one.
+TEST(SocketServer, LargePayloadCrossesThroughPartialWrites)
+{
+    ThreadPool pool(2);
+    BatchServer server(ServerConfig{}, pool);
+    SocketServer sock(server, testSocketPath("large"));
+    ASSERT_TRUE(sock.start().ok());
+
+    const RequestFrame req = makeRequest(1, 1, 1u << 20, 1u << 16);
+    const ResponseFrame direct = server.submit(RequestFrame(req)).get();
+    ASSERT_EQ(direct.code, ErrorCode::kOk) << direct.message;
+
+    ClientConfig ccfg;
+    ccfg.socketPath = sock.path();
+    ServerClient c(ccfg);
+    ResponseFrame served;
+    ASSERT_TRUE(c.call(req, &served).ok());
+    ASSERT_EQ(served.code, ErrorCode::kOk) << served.message;
+    EXPECT_EQ(served.resultChecksum, direct.resultChecksum);
+
+    sock.stop();
+    server.stop();
+}
+
+// ServerClient opens a connection per call; the acceptor must join the
+// finished connection threads as it goes, or every call leaves a dead
+// thread (and its stack mapping) behind until stop().
+TEST(SocketServer, FinishedConnectionThreadsAreReaped)
+{
+    ThreadPool pool(2);
+    BatchServer server(ServerConfig{}, pool);
+    SocketServer sock(server, testSocketPath("reap"));
+    ASSERT_TRUE(sock.start().ok());
+
+    int ok = 0;
+    for (uint64_t i = 1; i <= 500; ++i)
+        ok += callOnce(sock.path(), i) == ErrorCode::kOk;
+    EXPECT_EQ(ok, 500);
+    EXPECT_LE(sock.trackedConnections(), 4u);
+
+    sock.stop();
+    EXPECT_EQ(sock.trackedConnections(), 0u);
+    server.stop();
+    EXPECT_TRUE(server.stats().conserved());
 }
 
 TEST(ServerClient, RetriesWithBackoffThenReportsUnavailable)

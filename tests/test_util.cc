@@ -208,6 +208,31 @@ TEST(AlignedArray, ValueInitAndMove)
     EXPECT_EQ(a.size(), 0u);
 }
 
+TEST(AlignedArray, MappedBlocksKeepTheContract)
+{
+    // At and past kMapBytes, blocks come from mmap (except under ASan);
+    // alignments past a page still go through operator new.
+    const size_t n = kMapBytes == SIZE_MAX ? size_t{1} << 16
+                                           : kMapBytes / sizeof(uint64_t);
+    AlignedArray<uint64_t, 4096> a(n);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(a.data()) % 4096, 0u);
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_EQ(a[i], 0u);
+    a[n - 1] = 9;
+    AlignedArray<uint64_t, 4096> b(n + 1);
+    b = std::move(a); // unmaps b's own block
+    EXPECT_EQ(b[n - 1], 9u);
+    AlignedArray<uint64_t, 8192> c(n);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(c.data()) % 8192, 0u);
+    c[n - 1] = 1;
+
+    AlignedBuffer<uint32_t> raw = alignedAlloc<uint32_t>(2 * n);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(raw.get()) % 64, 0u);
+    raw[0] = 1;
+    raw[2 * n - 1] = 2;
+    EXPECT_EQ(raw[0] + raw[2 * n - 1], 3u);
+}
+
 TEST(Table, RendersRowsAndHeader)
 {
     Table t("demo");
